@@ -314,14 +314,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 ["scheduler horizon skips", str(scheduler["horizon_skips"])],
                 ["scheduler advances", str(scheduler["advances"])],
             ]
-            batches = scheduler.get("kernel_batches", 0)
-            if batches:
-                lanes = scheduler.get("kernel_lanes", 0)
-                rows.append([
-                    "scheduler vector plane",
-                    f"{batches} batches, {lanes} lanes "
-                    f"({lanes / batches:.1f} lanes/batch)",
-                ])
     print(format_table(
         ["metric", "value"], rows,
         title=f"profile: {args.benchmark} on {args.system}",

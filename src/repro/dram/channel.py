@@ -15,15 +15,24 @@ Policy, per the paper's methodology (Section V):
   conflicting requests cannot starve behind an endless hit stream;
 * all-bank refresh per rank every tREFI, taking tRFC.
 
-Performance notes: requests are bucketed per (rank, bank) incrementally,
-and the best-candidate computation is memoised against a queue-state
-version counter — the simulator polls channels far more often than their
-state changes.
+Every candidate command is one plain tuple
+``(time, command_class, arrival, request, rank_index, bank_index)``,
+ordered by its first three fields.  Two selectors produce it:
 
-The fast path (see ``docs/ARCHITECTURE.md``) additionally caches each
-bucket's candidate *unclamped* (computed at ``now = 0``) and invalidates
-per (rank, bank) bucket on enqueue/issue instead of rescanning every
-bucket, relying on two structural invariants of the timing model:
+* the reference scan, the semantic spec: a fresh
+  :meth:`Channel._bank_candidate_at` per (rank, bank) bucket through the
+  ``Rank``/``Bank`` ``earliest_*`` methods, with no caches
+  (``REPRO_FASTPATH=0``);
+* the fast path (see ``docs/ARCHITECTURE.md``), a memo layer around the
+  same layout: requests are bucketed per (rank, bank) incrementally,
+  each bucket's candidate is cached *unclamped* (computed at
+  ``now = 0``) and invalidated per bucket on enqueue/issue, and the
+  best-candidate computation is memoised against a queue-state version
+  counter — the simulator polls channels far more often than their
+  state changes.
+
+The bucket cache relies on two structural invariants of the timing
+model:
 
 * every ``earliest_*`` method is ``max(now, state)`` where *state* only
   changes when a command executes — so a candidate computed at ``now=0``
@@ -42,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro import fastpath, kernels
+from repro import fastpath
 from repro.dram.config import DramOrganization, DramTiming
 from repro.dram.rank import Rank
 from repro.dram.request import DramRequest
@@ -53,16 +62,13 @@ _CLASS_COLUMN = 1
 _CLASS_ACTIVATE = 2
 _CLASS_PRECHARGE = 3
 
-#: Minimum (rank, bank) bucket count before the struct-of-arrays
-#: candidate plane beats the scalar fast path.  A vectorized selection
-#: pass costs 10-20 µs of constant numpy overhead per compute; the
-#: scalar dict-cache loop costs ~0.1 µs per active bucket.  Measured
-#: on dense synthetic bursts, the crossover sits near 512 lanes
-#: (~125 simultaneously active buckets): 256-lane organizations still
-#: run ~5% faster on the scalar loop, 512-lane ones ~10% faster on the
-#: vector plane.  Differential tests monkeypatch this to pin the plane's
-#: bit-identical scheduling at small organizations.
-_VECTOR_MIN_LANES = 512
+#: A scheduling candidate: (time, command_class, arrival, request,
+#: rank_index, bank_index), ordered by ``candidate[:3]``.  Refresh
+#: candidates carry ``-inf`` arrival, no request and bank ``-1``.  The
+#: fast scheduler builds one per bucket-cache miss, so construction cost
+#: matters; a tuple literal builds several times faster than a frozen
+#: dataclass or a NamedTuple.
+Candidate = Tuple[float, int, float, Optional[DramRequest], int, int]
 
 
 @dataclass
@@ -84,29 +90,6 @@ class ChannelStats:
         if self.completed_reads == 0:
             return 0.0
         return self.read_latency_sum / self.completed_reads
-
-
-@dataclass(frozen=True)
-class _Candidate:
-    time: float
-    command_class: int
-    arrival: float
-    request: Optional[DramRequest]
-    rank_index: int
-    bank_index: int
-
-    @property
-    def sort_key(self) -> Tuple[float, int, float]:
-        return (self.time, self.command_class, self.arrival)
-
-
-#: Fast-path candidates are plain tuples laid out like
-#: ``_Candidate``: (time, command_class, arrival, request, rank_index,
-#: bank_index).  The fast scheduler builds one per bucket-cache miss,
-#: so construction cost matters; a tuple literal builds several times
-#: faster than a frozen dataclass or a NamedTuple.  Shared consumers
-#: (:meth:`Channel._issue`, ``advance``) unpack by index or attribute
-#: depending on which path produced the candidate.
 
 
 class Channel:
@@ -149,14 +132,14 @@ class Channel:
         self.clock: float = 0.0
         self._last_command_cycle: float = -1.0
         self._version = 0  #: bumped on any scheduling-relevant change
-        self._cached_candidate: Tuple[int, Optional[_Candidate]] = (-1, None)
+        self._cached_candidate: Tuple[int, Optional[Candidate]] = (-1, None)
         self._fastpath = fastpath.enabled()
         #: (rank, flat bank) -> (unclamped candidate, starved flag it was
         #: computed under, head arrival cycle) — one cache per direction,
         #: keyed by the same tuples as the queue dicts so the compute
         #: loop never builds keys.
-        self._bucket_cache_read: Dict[Tuple[int, int], Tuple[_Candidate, bool, float]] = {}
-        self._bucket_cache_write: Dict[Tuple[int, int], Tuple[_Candidate, bool, float]] = {}
+        self._bucket_cache_read: Dict[Tuple[int, int], Tuple[Candidate, bool, float]] = {}
+        self._bucket_cache_write: Dict[Tuple[int, int], Tuple[Candidate, bool, float]] = {}
         #: (rank, command class) -> bucket keys cached under that class,
         #: so class-wide invalidation pops a set instead of scanning both
         #: caches.  Conservatively stale: keys stay after an entry is
@@ -173,24 +156,6 @@ class Channel:
         #: per-rank ``next_refresh_due + t_refi`` (the refresh-debt
         #: preempt threshold); only a REF command moves it.
         self._refresh_debt: List[Optional[float]] = [None] * len(self.ranks)
-        #: Vector timing plane (REPRO_VECTOR): the per-direction bucket
-        #: caches become struct-of-arrays candidate lanes (one flat
-        #: ``rank * banks + bank`` id per bucket) with Python dirty-id
-        #: sets replacing the dict pops, so the selection loop is one
-        #: vectorized min over every active bucket.  An extension of the
-        #: fast path — it reuses the same invariants, version counters
-        #: and event-horizon skipping — so it only arms alongside it,
-        #: and only once the lane count amortises the numpy constant
-        #: (``_VECTOR_MIN_LANES``); either way the candidates are
-        #: bit-identical.
-        lanes = len(self.ranks) * organization.bank_groups * organization.banks_per_group
-        self._vector = (
-            self._fastpath
-            and lanes >= _VECTOR_MIN_LANES
-            and kernels.enabled()
-        )
-        if self._vector:
-            self._init_vector_plane()
         self._skip_version = -1  #: version the event horizon was computed at
         self._skip_until = 0.0  #: no command can issue before this cycle
         self.perf = fastpath.SchedulerCounters()
@@ -203,41 +168,6 @@ class Channel:
         #: Optional event tracer; ``MainMemory`` installs one when the
         #: run is observed so sampled requests get per-command instants.
         self.tracer = None
-
-    def _init_vector_plane(self) -> None:
-        """Allocate the struct-of-arrays candidate lanes.
-
-        One lane per (rank, flat bank) bucket and direction: unclamped
-        candidate time (``inf`` = no valid entry), command class,
-        target arrival, head-of-queue arrival, the starvation flag the
-        lane was computed under, and a parallel Python list holding the
-        target request object.  ``_class_keys`` holds flat lane ids
-        instead of key tuples; ``_vec_dirty`` replaces the dict pops.
-        """
-        import numpy as np
-
-        self._np = np
-        banks = self._org.bank_groups * self._org.banks_per_group
-        total = len(self.ranks) * banks
-        self._vec_banks = banks
-        inf = float("inf")
-        # Index 0: read direction, 1: write direction.
-        self._vec_time = [np.full(total, inf), np.full(total, inf)]
-        self._vec_cls = [
-            np.zeros(total, dtype=np.int64),
-            np.zeros(total, dtype=np.int64),
-        ]
-        self._vec_arrival = [np.zeros(total), np.zeros(total)]
-        self._vec_head = [np.zeros(total), np.zeros(total)]
-        self._vec_starved = [
-            np.zeros(total, dtype=bool),
-            np.zeros(total, dtype=bool),
-        ]
-        self._vec_request: List[List[Optional[DramRequest]]] = [
-            [None] * total,
-            [None] * total,
-        ]
-        self._vec_dirty: List[set] = [set(), set()]
 
     def _log(self, cycle: float, command: str, rank: int, bank: int,
              request: Optional[DramRequest]) -> None:
@@ -289,11 +219,7 @@ class Channel:
         # The appended request can change this bucket's candidate (e.g.
         # it hits the open row where nothing did); other buckets keep
         # their cached candidates.
-        if self._vector:
-            self._vec_dirty[1 if request.is_write else 0].add(
-                key[0] * self._vec_banks + key[1]
-            )
-        elif request.is_write:
+        if request.is_write:
             self._bucket_cache_write.pop(key, None)
         else:
             self._bucket_cache_read.pop(key, None)
@@ -328,7 +254,6 @@ class Channel:
         completed: List[DramRequest] = []
         drain_low = self._drain_low
         drain_high = self._drain_high
-        fast = self._fastpath
         while True:
             # _update_drain_mode and _best_candidate inlined: this loop
             # body runs once per issued command and the two calls would
@@ -352,7 +277,7 @@ class Channel:
                 if until > self.clock:
                     self.clock = until
                 break
-            cand_time = candidate[0] if fast else candidate.time
+            cand_time = candidate[0]
             issue_at = max(cand_time, self._last_command_cycle + 1.0, self.clock)
             if issue_at > until:
                 # The horizon is clock-independent (the clock only ever
@@ -381,8 +306,7 @@ class Channel:
         candidate = self._best_candidate()
         if candidate is None:
             return None
-        cand_time = candidate[0] if self._fastpath else candidate.time
-        return max(cand_time, self._last_command_cycle + 1.0, self.clock)
+        return max(candidate[0], self._last_command_cycle + 1.0, self.clock)
 
     def flush_writes(self) -> None:
         """Force drain mode regardless of watermarks (end of simulation)."""
@@ -409,7 +333,7 @@ class Channel:
         # Idle write drain: no reads pending, trickle writes out.
         return self._write_by_bank
 
-    def _best_candidate(self) -> Optional[_Candidate]:
+    def _best_candidate(self) -> Optional[Candidate]:
         version, cached = self._cached_candidate
         if version == self._version:
             return cached
@@ -417,38 +341,37 @@ class Channel:
         self._cached_candidate = (self._version, best)
         return best
 
-    def _compute_best_candidate(self) -> Optional[_Candidate]:
-        if self._vector:
-            return self._compute_best_candidate_vec()
+    def _compute_best_candidate(self) -> Optional[Candidate]:
         if self._fastpath:
             return self._compute_best_candidate_fast()
-        best: Optional[_Candidate] = None
+        # Reference scan: every candidate computed afresh at this clock.
+        clock = self.clock
+        best: Optional[Candidate] = None
         for rank_index, rank in enumerate(self.ranks):
-            candidate = _Candidate(
-                time=rank.earliest_refresh(self.clock),
-                command_class=_CLASS_REFRESH,
-                arrival=float("-inf"),
-                request=None,
-                rank_index=rank_index,
-                bank_index=-1,
+            candidate = (
+                rank.earliest_refresh(clock), _CLASS_REFRESH,
+                float("-inf"), None, rank_index, -1,
             )
-            if self.clock > rank.next_refresh_due + self._t.t_refi:
+            if clock > rank.next_refresh_due + self._t.t_refi:
                 # Refresh debt of a full interval: refresh preempts all
                 # request scheduling until the rank catches up.
                 return candidate
-            if best is None or candidate.sort_key < best.sort_key:
+            if best is None or candidate[:3] < best[:3]:
                 best = candidate
+        cap = self._starvation_cap
         for (rank_index, bank_index), requests in self._active_buckets().items():
             if not requests:
                 continue
-            candidate = self._bank_candidate(rank_index, bank_index, requests)
-            if candidate is not None and (
-                best is None or candidate.sort_key < best.sort_key
-            ):
+            # FIFO buckets: index 0 is the oldest request.
+            starved = (clock - requests[0].arrival_cycle) > cap
+            candidate = self._bank_candidate_at(
+                clock, rank_index, bank_index, requests, starved
+            )
+            if best is None or candidate[:3] < best[:3]:
                 best = candidate
         return best
 
-    def _compute_best_candidate_fast(self) -> Optional[_Candidate]:
+    def _compute_best_candidate_fast(self) -> Optional[Candidate]:
         """Cached variant of :meth:`_compute_best_candidate`.
 
         Selection is provably identical: candidate sort keys form a total
@@ -481,7 +404,7 @@ class Channel:
         cache_get = cache.get
         class_keys = self._class_keys
         hits = misses = 0
-        best: Optional[_Candidate] = None
+        best: Optional[Candidate] = None
         best_time = best_class = best_arrival = None
         for key, requests in buckets.items():
             if not requests:
@@ -558,147 +481,13 @@ class Channel:
                 best_arrival = float("-inf")
         return best
 
-    def _compute_best_candidate_vec(self) -> Optional[tuple]:
-        """Struct-of-arrays variant of :meth:`_compute_best_candidate_fast`.
-
-        Dirty or starvation-stale lanes recompute through the same
-        ``_bank_candidate_fast`` scalar (writing the lane arrays), then
-        selection is one vectorized ``min`` over ``max(time, clock)``
-        with the scalar's exact tie-break: lexicographic
-        (class, arrival), full ties resolved in bucket-dict insertion
-        order — the order the scalar loop encounters them.
-        """
-        np = self._np
-        self.perf.computes += 1
-        clock = self.clock
-        debt = self._refresh_debt
-        for rank_index, rank in enumerate(self.ranks):
-            threshold = debt[rank_index]
-            if threshold is None:
-                threshold = rank.next_refresh_due + self._t.t_refi
-                debt[rank_index] = threshold
-            if clock > threshold:
-                # Refresh debt of a full interval: refresh preempts all
-                # request scheduling until the rank catches up.
-                return (
-                    rank.earliest_refresh(clock), _CLASS_REFRESH,
-                    float("-inf"), None, rank_index, -1,
-                )
-        buckets = self._active_buckets()
-        direction = 1 if buckets is self._write_by_bank else 0
-        times = self._vec_time[direction]
-        classes = self._vec_cls[direction]
-        arrivals = self._vec_arrival[direction]
-        heads = self._vec_head[direction]
-        starved_flags = self._vec_starved[direction]
-        lane_requests = self._vec_request[direction]
-        dirty = self._vec_dirty[direction]
-        banks = self._vec_banks
-        cap = self._starvation_cap
-        inf = float("inf")
-        # The starvation flag is the only clock-dependent lane input:
-        # find every valid lane whose flag flipped since it was written.
-        stale = np.nonzero(
-            (times != inf) & (((clock - heads) > cap) != starved_flags)
-        )[0]
-        if stale.size:
-            dirty.update(stale.tolist())
-        misses = 0
-        if dirty:
-            class_keys = self._class_keys
-            for flat in dirty:
-                key = (flat // banks, flat % banks)
-                bucket = buckets.get(key)
-                if not bucket:
-                    times[flat] = inf
-                    lane_requests[flat] = None
-                    continue
-                misses += 1
-                arrival = bucket[0].arrival_cycle
-                starved = (clock - arrival) > cap
-                candidate = self._bank_candidate_fast(
-                    key[0], key[1], bucket, starved
-                )
-                times[flat] = candidate[0]
-                classes[flat] = candidate[1]
-                arrivals[flat] = candidate[2]
-                heads[flat] = arrival
-                starved_flags[flat] = starved
-                lane_requests[flat] = candidate[3]
-                class_key = (key[0], candidate[1])
-                members = class_keys.get(class_key)
-                if members is None:
-                    class_keys[class_key] = {flat}
-                else:
-                    members.add(flat)
-            dirty.clear()
-        clamped = np.maximum(times, clock)
-        best_value = clamped.min() if clamped.shape[0] else inf
-        active = int((times != inf).sum())
-        counters = self.perf.bucket
-        counters.misses += misses
-        counters.hits += active - misses
-        perf = self.perf
-        perf.kernel_batches += 1
-        perf.kernel_lanes += active
-        best: Optional[tuple] = None
-        best_time = best_class = None
-        if best_value != inf:
-            ties = np.nonzero(clamped == best_value)[0]
-            if ties.shape[0] == 1:
-                flat = int(ties[0])
-            else:
-                tie_classes = classes[ties]
-                tie_arrivals = arrivals[ties]
-                order = np.lexsort((tie_arrivals, tie_classes))
-                lead = order[0]
-                full_tie = (tie_classes == tie_classes[lead]) & (
-                    tie_arrivals == tie_arrivals[lead]
-                )
-                finalists = ties[full_tie]
-                if finalists.shape[0] == 1:
-                    flat = int(finalists[0])
-                else:
-                    finalist_set = set(finalists.tolist())
-                    for key in buckets:
-                        flat = key[0] * banks + key[1]
-                        if flat in finalist_set:
-                            break
-            best = (
-                float(times[flat]), int(classes[flat]),
-                float(arrivals[flat]), lane_requests[flat],
-                flat // banks, flat % banks,
-            )
-            best_time = float(best_value)
-            best_class = best[1]
-        # Refresh candidates last, identical to the scalar fast path.
-        refresh_cache = self._refresh_unclamped
-        for rank_index, rank in enumerate(self.ranks):
-            time = refresh_cache[rank_index]
-            if time is None:
-                time = rank.earliest_refresh(0.0)
-                refresh_cache[rank_index] = time
-            if time < clock:
-                time = clock
-            if best is not None and time > best_time:
-                continue
-            if best is None or time < best_time or (
-                time == best_time and best_class != _CLASS_REFRESH
-            ):
-                best = (
-                    time, _CLASS_REFRESH, float("-inf"), None, rank_index, -1
-                )
-                best_time = time
-                best_class = _CLASS_REFRESH
-        return best
-
     def _bank_candidate_fast(
         self,
         rank_index: int,
         bank_index: int,
         requests: List[DramRequest],
         starved: bool,
-    ) -> tuple:
+    ) -> Candidate:
         """`_bank_candidate_at(0.0, ...)` with the timing math inlined.
 
         The bank/rank ``earliest_*`` methods are ``max(now, ...)`` chains
@@ -776,15 +565,6 @@ class Channel:
             target, rank_index, bank_index,
         )
 
-    def _bank_candidate(
-        self, rank_index: int, bank_index: int, requests: List[DramRequest]
-    ) -> _Candidate:
-        oldest = requests[0]  # FIFO buckets: index 0 is the oldest
-        starved = (self.clock - oldest.arrival_cycle) > self._starvation_cap
-        return self._bank_candidate_at(
-            self.clock, rank_index, bank_index, requests, starved
-        )
-
     def _bank_candidate_at(
         self,
         now: float,
@@ -792,7 +572,7 @@ class Channel:
         bank_index: int,
         requests: List[DramRequest],
         starved: bool,
-    ) -> _Candidate:
+    ) -> Candidate:
         rank = self.ranks[rank_index]
         bank = rank.banks[bank_index]
         oldest = requests[0]
@@ -827,31 +607,18 @@ class Channel:
         else:
             time = bank.earliest_precharge(now)
             command_class = _CLASS_PRECHARGE
-        return _Candidate(
-            time=time,
-            command_class=command_class,
-            arrival=target.arrival_cycle,
-            request=target,
-            rank_index=rank_index,
-            bank_index=bank_index,
+        return (
+            time, command_class, target.arrival_cycle,
+            target, rank_index, bank_index,
         )
 
     def _issue(
-        self, candidate: _Candidate, cycle: float, completed: List[DramRequest]
+        self, candidate: Candidate, cycle: float, completed: List[DramRequest]
     ) -> None:
         self._last_command_cycle = cycle
         self.clock = cycle
         self._version += 1
-        # Unpack once: fast-path candidates are plain tuples, slow-path
-        # ones dataclasses; either way the fields land in locals so the
-        # branches below never re-read the candidate.
-        if self._fastpath:
-            __, command_class, __, request, rank_index, bank_index = candidate
-        else:
-            command_class = candidate.command_class
-            request = candidate.request
-            rank_index = candidate.rank_index
-            bank_index = candidate.bank_index
+        _, command_class, _, request, rank_index, bank_index = candidate
         # Any command (incl. the auto-precharge rider) moves rank/bank
         # state that feeds the rank's earliest-refresh value.
         self._refresh_unclamped[rank_index] = None
@@ -990,35 +757,13 @@ class Channel:
     # ------------------------------------------------------------------
 
     def _invalidate_bank(self, rank_index: int, bank_index: int) -> None:
-        if self._vector:
-            flat = rank_index * self._vec_banks + bank_index
-            self._vec_dirty[0].add(flat)
-            self._vec_dirty[1].add(flat)
-            return
         key = (rank_index, bank_index)
         self._bucket_cache_read.pop(key, None)
         self._bucket_cache_write.pop(key, None)
 
     def _invalidate_rank(self, rank_index: int) -> None:
-        class_keys = self._class_keys
-        if self._vector:
-            dirty_read, dirty_write = self._vec_dirty
-            for command_class in (
-                _CLASS_COLUMN, _CLASS_ACTIVATE, _CLASS_PRECHARGE
-            ):
-                members = class_keys.pop((rank_index, command_class), None)
-                if members:
-                    dirty_read.update(members)
-                    dirty_write.update(members)
-            return
-        read_pop = self._bucket_cache_read.pop
-        write_pop = self._bucket_cache_write.pop
         for command_class in (_CLASS_COLUMN, _CLASS_ACTIVATE, _CLASS_PRECHARGE):
-            keys = class_keys.pop((rank_index, command_class), None)
-            if keys:
-                for key in keys:
-                    read_pop(key, None)
-                    write_pop(key, None)
+            self._invalidate_class(rank_index, command_class)
 
     def _invalidate_class(self, rank_index: int, command_class: int) -> None:
         """Drop cached candidates of *command_class* within a rank.
@@ -1032,10 +777,6 @@ class Channel:
         """
         keys = self._class_keys.pop((rank_index, command_class), None)
         if keys:
-            if self._vector:
-                self._vec_dirty[0].update(keys)
-                self._vec_dirty[1].update(keys)
-                return
             read_pop = self._bucket_cache_read.pop
             write_pop = self._bucket_cache_write.pop
             for key in keys:

@@ -127,10 +127,6 @@ class SchedulerCounters:
     horizon_skips: int = 0
     #: ``advance`` calls that ran the full issue loop
     advances: int = 0
-    #: vector-plane selection passes (REPRO_VECTOR; 0 on the scalar path)
-    kernel_batches: int = 0
-    #: active candidate lanes evaluated across those passes
-    kernel_lanes: int = 0
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -138,8 +134,6 @@ class SchedulerCounters:
             "bucket": self.bucket.to_dict(),
             "horizon_skips": self.horizon_skips,
             "advances": self.advances,
-            "kernel_batches": self.kernel_batches,
-            "kernel_lanes": self.kernel_lanes,
         }
 
     def merge(self, other: "SchedulerCounters") -> None:
@@ -148,5 +142,3 @@ class SchedulerCounters:
         self.bucket.misses += other.bucket.misses
         self.horizon_skips += other.horizon_skips
         self.advances += other.advances
-        self.kernel_batches += other.kernel_batches
-        self.kernel_lanes += other.kernel_lanes

@@ -19,11 +19,8 @@ replaces whole per-record loops with columnar numpy kernels:
   set-associative LRU kernel (:mod:`repro.kernels.lru`);
 * the vector *timing* plane for the detailed simulator: batched
   functional warm-up and memo prewarm (:mod:`repro.kernels.timing`),
-  batch COPR training (:mod:`repro.kernels.copr`), batched LLC probes
-  (:meth:`repro.cpu.cache.LastLevelCache.access_many`), and the
-  struct-of-arrays FR-FCFS candidate plane inside
-  :class:`repro.dram.channel.Channel` (arms only on organizations
-  large enough to amortise it).
+  batch COPR training (:mod:`repro.kernels.copr`), and batched LLC
+  probes (:meth:`repro.cpu.cache.LastLevelCache.access_many`).
 
 Every kernel is required to be **bit-identical** to the scalar path it
 replaces: ``tests/test_kernels.py`` runs hypothesis differentials per

@@ -25,9 +25,7 @@ produce up front.  This module vectorises both, bit-identically:
   function of (line, version) or address, so prewarming is unobservable
   in the results.
 
-The DRAM half of the timing plane (struct-of-arrays candidate
-selection) lives in :mod:`repro.dram.channel`; see
-docs/ARCHITECTURE.md §13.
+See docs/ARCHITECTURE.md §13.
 """
 
 from __future__ import annotations

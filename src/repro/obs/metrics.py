@@ -331,14 +331,6 @@ METRIC_CATALOG: Tuple[MetricSpec, ...] = (
     MetricSpec("scheduler.bucket_misses", "perf", "lookups",
                "candidate-cache misses — buckets recomputed by the "
                "scalar FR-FCFS scan (REPRO_FASTPATH)"),
-    MetricSpec("scheduler.kernel_batches", "perf", "passes",
-               "vector-plane candidate selection passes; 0 whenever the "
-               "struct-of-arrays plane is unarmed (REPRO_VECTOR and a "
-               "large enough organization)"),
-    MetricSpec("scheduler.kernel_lanes", "perf", "lanes",
-               "active candidate lanes evaluated across those passes "
-               "(lanes/batches ~ mean bank-level parallelism seen by "
-               "the vector scheduler)"),
     MetricSpec("chaos.injections", "run", "faults",
                "total deterministic fault injections delivered by the "
                "run's chaos plan (report summary, chaos block)"),

@@ -402,8 +402,8 @@ def test_vector_gate_controls():
 
 
 # ----------------------------------------------------------------------
-# The vector timing plane: COPR batch training, LLC probe batches,
-# struct-of-arrays candidate selection, and the detailed-path env gate
+# The vector timing plane: COPR batch training, LLC probe batches, and
+# the detailed-path env gate
 # ----------------------------------------------------------------------
 
 
@@ -470,94 +470,6 @@ def test_llc_access_many_matches_scalar(data):
     assert batch.stats.snapshot() == scalar.stats.snapshot()
     with pytest.raises(ValueError):
         batch.access_many(addresses, is_write)  # only from empty
-
-
-def _drive_channel(vector_on, events, min_lanes):
-    """Run one request stream through a fresh channel; normalised log."""
-    import repro.dram.channel as channel_module
-    from repro.dram import DramTiming
-    from repro.dram.channel import Channel
-    from repro.dram.request import DramRequest, RequestKind
-
-    previous = channel_module._VECTOR_MIN_LANES
-    channel_module._VECTOR_MIN_LANES = min_lanes
-    try:
-        with kernels.overridden(vector_on):
-            channel = Channel(
-                DramTiming(), events["org"], log_commands=True
-            )
-        assert channel._vector == vector_on  # min_lanes covers the org
-        id_map = {}
-        completions = []
-        for arrival, address, decoded, write in events["stream"]:
-            completions += channel.advance(arrival)
-            request = DramRequest(
-                byte_address=address, decoded=decoded, is_write=write,
-                subrank_mask=(0, 1), data_beats=4,
-                kind=RequestKind.DEMAND_READ, arrival_cycle=arrival,
-            )
-            id_map[request.request_id] = len(id_map)
-            channel.enqueue(request)
-        completions += channel.advance(10_000_000.0)
-    finally:
-        channel_module._VECTOR_MIN_LANES = previous
-    # Request ids are process-global; map them to enqueue order so two
-    # independently constructed runs are comparable.
-    log = [
-        (cycle, command, rank, bank,
-         id_map[rid] if rid is not None else None)
-        for cycle, command, rank, bank, rid in channel.command_log
-    ]
-    done = [
-        (id_map[r.request_id], r.issue_cycle, r.completion_cycle,
-         r.row_outcome)
-        for r in completions
-    ]
-    return log, done
-
-
-@given(data=st.data())
-@settings(max_examples=15, deadline=None)
-def test_channel_vector_candidate_selection_matches_scalar(data):
-    from repro.dram import AddressMapper, DramOrganization
-    from repro.dram.config import MemoryAddress
-
-    org = DramOrganization()  # 16 lanes; threshold lowered below
-    mapper = AddressMapper(org)
-    count = data.draw(st.integers(5, 80))
-    arrival = 0.0
-    stream = []
-    for _ in range(count):
-        address = mapper.encode(MemoryAddress(
-            channel=0, rank=0,
-            bank_group=data.draw(st.integers(0, org.bank_groups - 1)),
-            bank=data.draw(st.integers(0, org.banks_per_group - 1)),
-            row=data.draw(st.integers(0, 3)),
-            column=data.draw(st.integers(0, 7)),
-        ))
-        stream.append((
-            arrival, address, mapper.decode(address),
-            data.draw(st.booleans()),
-        ))
-        arrival += data.draw(st.sampled_from([0.0, 0.0, 1.0, 5.0, 40.0]))
-    events = {"org": org, "stream": stream}
-    assert _drive_channel(True, events, 1) == _drive_channel(
-        False, events, 1
-    )
-
-
-def test_channel_vector_plane_arms_by_lane_count():
-    from repro.dram import DramOrganization, DramTiming
-    from repro.dram.channel import _VECTOR_MIN_LANES, Channel
-
-    small = DramOrganization()  # 1 rank x 16 banks = 16 lanes
-    ranks = max(1, _VECTOR_MIN_LANES // small.banks_per_rank)
-    large = DramOrganization(ranks_per_channel=ranks)
-    with kernels.overridden(True):
-        assert not Channel(DramTiming(), small)._vector
-        assert Channel(DramTiming(), large)._vector
-    with kernels.overridden(False):
-        assert not Channel(DramTiming(), large)._vector
 
 
 def test_env_gate_detailed_digest_equality():
