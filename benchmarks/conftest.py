@@ -9,29 +9,34 @@ runs happen once.  Each bench prints its table and also writes it to
 Scale: benches default to the ``fast`` preset (capacities and footprints
 scaled down 32x together — see DESIGN.md section 6 and
 ``repro.sim.runner.ExperimentScale``).  Set ``REPRO_BENCH_SCALE=tiny``
-for smoke runs or ``REPRO_BENCH_RECORDS`` to change trace length.
+for smoke runs or ``REPRO_BENCH_RECORDS`` to change trace length.  The
+presets are :func:`repro.analysis.figures.figure_scale`'s.
 
 Caching: set ``REPRO_BENCH_CACHE_DIR=<dir>`` to back the in-memory
 results cache with the orchestrator's content-addressed on-disk cache
 (docs/ORCHESTRATOR.md).  Repeat ``pytest benchmarks/`` invocations then
 reuse every previously simulated (workload, system, config, seed) point
 instead of re-simulating it, which collapses the suite's wall-clock.
+Points are keyed by :meth:`repro.orchestrator.JobSpec.key`, the key
+``repro figures`` and ``repro sweep`` use, so the three share entries.
 Keys include a hash of the ``repro`` sources, so editing the simulator
 invalidates stale entries automatically.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pathlib
 from typing import Dict, List, Optional
 
 import pytest
 
+from repro.analysis.figures import figure_scale
 from repro.core.blem import BlemConfig
 from repro.core.copr import CoprConfig
-from repro.orchestrator import ResultCache, code_fingerprint, stable_key
-from repro.sim.runner import ExperimentScale, run_benchmark
+from repro.orchestrator import JobSpec, ResultCache, execute_job
+from repro.sim.runner import ExperimentScale
 from repro.sim.simulator import SimulationResult
 from repro.workloads.profiles import all_benchmark_names
 
@@ -44,23 +49,11 @@ TIMING_SYSTEMS = ("baseline", "metadata_cache", "attache", "ideal")
 
 def bench_scale() -> ExperimentScale:
     """The simulation scale used by the timing benches."""
-    preset = os.environ.get("REPRO_BENCH_SCALE", "fast")
+    scale = figure_scale(os.environ.get("REPRO_BENCH_SCALE", "fast"))
     records = int(os.environ.get("REPRO_BENCH_RECORDS", "0"))
-    if preset == "tiny":
-        # Keep 8 cores: the bandwidth pressure that drives the paper's
-        # results needs the full core count even in smoke runs.
-        return ExperimentScale(
-            name="tiny", factor=64, cores=8,
-            records_per_core=records or 600,
-        )
-    if preset == "full":
-        return ExperimentScale(
-            name="full", factor=8, cores=8,
-            records_per_core=records or 8000,
-        )
-    return ExperimentScale(
-        name="fast", factor=32, cores=8, records_per_core=records or 2000,
-    )
+    if records:
+        return dataclasses.replace(scale, records_per_core=records)
+    return scale
 
 
 def functional_workload_kwargs() -> Dict[str, object]:
@@ -84,7 +77,7 @@ class ResultsCache:
     """
 
     def __init__(self) -> None:
-        self._results: Dict[tuple, SimulationResult] = {}
+        self._results: Dict[str, SimulationResult] = {}
         cache_dir = os.environ.get("REPRO_BENCH_CACHE_DIR")
         self._disk = ResultCache(cache_dir) if cache_dir else None
 
@@ -96,36 +89,28 @@ class ResultsCache:
         blem_config: BlemConfig = BlemConfig(),
         seed: int = 2018,
     ) -> SimulationResult:
-        key = (workload, system, copr_config, blem_config, seed,
-               bench_scale().name, bench_scale().records_per_core)
+        # Default configs stay out of the parameters, so a default point
+        # has the same key as in `repro figures` and `repro sweep`.
+        parameters = {}
+        if copr_config is not None:
+            parameters["copr_config"] = copr_config
+        if blem_config != BlemConfig():
+            parameters["blem_config"] = blem_config
+        job = JobSpec(benchmark=workload, system=system, seed=seed,
+                      scale=bench_scale(), parameters=parameters)
+        key = job.key()
         if key not in self._results:
-            self._results[key] = self._simulate_or_load(key)
+            self._results[key] = self._simulate_or_load(job, key)
         return self._results[key]
 
-    def _simulate_or_load(self, key: tuple) -> SimulationResult:
-        workload, system, copr_config, blem_config, seed = key[:5]
-        disk_key = None
+    def _simulate_or_load(self, job: JobSpec, key: str) -> SimulationResult:
         if self._disk is not None:
-            disk_key = stable_key({
-                "kind": "bench",
-                "workload": workload,
-                "system": system,
-                "copr_config": copr_config,
-                "blem_config": blem_config,
-                "seed": seed,
-                "scale": bench_scale(),
-                "code": code_fingerprint(),
-            })
-            cached = self._disk.get(disk_key)
+            cached = self._disk.get(key)
             if cached is not None:
                 return cached
-        result = run_benchmark(
-            workload, system, scale=bench_scale(), seed=seed,
-            copr_config=copr_config, blem_config=blem_config,
-        )
+        result = execute_job(job)
         if self._disk is not None:
-            self._disk.put(disk_key, result,
-                           meta={"workload": workload, "system": system})
+            self._disk.put(key, result, meta={"job": job.describe()})
         return result
 
     def sweep(

@@ -2,15 +2,15 @@
 
 ``pytest benchmarks/`` regenerates every figure table unconditionally.
 This module is the ROADMAP's "incremental figure regeneration" item: it
-knows which simulation points each figure table consumes, keys them with
-the orchestrator's content-addressed scheme
-(:func:`repro.orchestrator.stable_key` over the job spec plus
-:func:`repro.orchestrator.code_fingerprint`), and regenerates only the
-tables whose point-key set changed since the table was last written —
-i.e. after a code edit, a scale change, or a first run.  Simulated
-points land in the same on-disk :class:`repro.orchestrator.ResultCache`
-layout the benches use (``REPRO_BENCH_CACHE_DIR``), so a bench run warms
-``repro figures`` and vice versa.
+knows which simulation points each figure table consumes, expresses each
+as an orchestrator :class:`repro.orchestrator.JobSpec` keyed by
+:meth:`JobSpec.key` — the one point key ``repro sweep``, the benches
+and this module share — and regenerates only the tables whose
+point-key set changed since the table was last written, i.e. after a
+code edit, a scale change, or a first run.  Simulated points land in
+the same on-disk :class:`repro.orchestrator.ResultCache` layout the
+benches use (``REPRO_BENCH_CACHE_DIR``), so a bench run warms ``repro
+figures`` and vice versa.
 
 Keys are content-addressed by (spec, code): results are deterministic,
 so "the underlying cached points changed" is exactly "the key set
@@ -28,9 +28,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.charts import bar_chart
 from repro.analysis.report import format_table, geometric_mean
-from repro.core.blem import BlemConfig
-from repro.orchestrator import ResultCache, code_fingerprint, stable_key
-from repro.sim.runner import ExperimentScale, run_benchmark
+from repro.orchestrator import JobSpec, ResultCache, execute_job
+from repro.sim.runner import ExperimentScale
 from repro.sim.simulator import SimulationResult
 from repro.workloads.profiles import all_benchmark_names
 
@@ -56,9 +55,12 @@ Sweep = Dict[str, Dict[str, SimulationResult]]
 def figure_scale(preset: str = "tiny") -> ExperimentScale:
     """The simulation scale behind each figure point.
 
-    Mirrors the ``REPRO_BENCH_SCALE`` presets of ``benchmarks/conftest``
-    exactly — same scales produce the same cache keys, which is what
-    lets a bench run and ``repro figures`` share cached points.
+    The one table of ``REPRO_BENCH_SCALE`` presets:
+    ``benchmarks/conftest.bench_scale`` reads it too, and equal scales
+    produce equal point keys, which is what lets a bench run and
+    ``repro figures`` share cached points.  Every preset keeps 8 cores:
+    the bandwidth pressure that drives the paper's results needs the
+    full core count even in smoke runs.
     """
     if preset == "tiny":
         return ExperimentScale(
@@ -92,29 +94,15 @@ class FigureSpec:
     systems: Tuple[str, ...]
     render: Callable[[Sweep], str]
 
-    def points(self, scale: ExperimentScale) -> List[Tuple[str, str, str]]:
-        """The ``(workload, system, cache key)`` points this figure
-        consumes, in deterministic order."""
+    def points(self, scale: ExperimentScale) -> List[JobSpec]:
+        """The job specs of the points this figure consumes, in
+        deterministic order."""
         return [
-            (workload, system, _point_key(workload, system, scale))
+            JobSpec(benchmark=workload, system=system, seed=_SEED,
+                    scale=scale)
             for workload in all_benchmark_names()
             for system in self.systems
         ]
-
-
-def _point_key(workload: str, system: str, scale: ExperimentScale) -> str:
-    # The exact payload benchmarks/conftest.ResultsCache uses, so the
-    # on-disk entries are interchangeable between the two consumers.
-    return stable_key({
-        "kind": "bench",
-        "workload": workload,
-        "system": system,
-        "copr_config": None,
-        "blem_config": BlemConfig(),
-        "seed": _SEED,
-        "scale": scale,
-        "code": code_fingerprint(),
-    })
 
 
 def _render_speedup(sweep: Sweep) -> str:
@@ -272,16 +260,16 @@ def plan(
     for spec in FIGURES:
         if names and spec.name not in names:
             continue
-        points = spec.points(scale)
-        digest = _keyset_digest([key for __, __, key in points])
+        keys = [job.key() for job in spec.points(scale)]
+        digest = _keyset_digest(keys)
         fresh = (
             state.get(spec.name) == digest
             and (out_dir / f"{spec.name}.txt").exists()
         )
-        cached = sum(1 for __, __, key in points if cache.path(key).exists())
+        cached = sum(1 for key in keys if cache.path(key).exists())
         statuses.append(FigureStatus(
             spec=spec, digest=digest, fresh=fresh,
-            cached_points=cached, total_points=len(points),
+            cached_points=cached, total_points=len(keys),
         ))
     return statuses
 
@@ -316,19 +304,17 @@ def regenerate(
             outcome.append((status, "fresh"))
             continue
         sweep: Sweep = {}
-        for workload, system, key in spec.points(scale):
+        for job in spec.points(scale):
+            key = job.key()
             result = results.get(key)
             if result is None:
                 result = cache.get(key)
             if result is None:
-                say(f"{spec.name}: simulating {workload}/{system}")
-                result = run_benchmark(
-                    workload, system, scale=scale, seed=_SEED,
-                )
-                cache.put(key, result,
-                          meta={"workload": workload, "system": system})
+                say(f"{spec.name}: simulating {job.benchmark}/{job.system}")
+                result = execute_job(job)
+                cache.put(key, result, meta={"job": job.describe()})
             results[key] = result
-            sweep.setdefault(workload, {})[system] = result
+            sweep.setdefault(job.benchmark, {})[job.system] = result
         table = spec.render(sweep)
         (out_dir / f"{spec.name}.txt").write_text(
             table + "\n", encoding="utf-8"

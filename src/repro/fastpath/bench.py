@@ -1,18 +1,17 @@
-"""The pinned reference workload and the best-of-N single-run benchmark.
+"""The pinned perf yardsticks and the one harness that measures them.
 
-Performance claims need a fixed yardstick.  This module pins ONE
-workload — chosen because it exercises every fast-path cache (BLEM
-compression, scrambling, the FR-FCFS candidate cache) with a trace long
-enough that interpreter noise averages out but short enough to run in a
-CI smoke job — and measures it with the only timing methodology that is
-stable on a shared machine: best-of-N wall clock.
+Performance claims need fixed yardsticks.  Each :class:`Pin` fixes ONE
+workload and two modes of running it — fast path on/off, warm pool vs
+spawn-per-job, vector kernels on/off — and :func:`measure` times both
+modes with the only timing methodology that is stable on a shared
+machine: interleaved best-of-N wall clock.
 
 The minimum over repeats estimates the noise floor (scheduler
 interference and frequency scaling only ever *add* time), so ratios of
 minima are comparable across commits on the same machine.  Absolute
 times are NOT comparable across machines; the regression gate in CI
-therefore compares the fastpath-on/off *speedup ratio* against the
-committed baseline (``benchmarks/BENCH_single_run.json``), which divides
+therefore compares each pin's slow/fast *speedup ratio* against its
+committed baseline (``benchmarks/BENCH_<name>.json``), which divides
 the machine out.
 """
 
@@ -22,14 +21,138 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Mapping, Optional, Tuple
 
 from repro import fastpath
 from repro.sim.runner import ExperimentScale, run_benchmark
 
-#: The pinned reference configuration.  Do not change casually: the
-#: committed baseline numbers in benchmarks/BENCH_single_run.json were
-#: measured against exactly this point.
+
+def result_digest(result) -> str:
+    """Canonical digest of a result payload, for bit-identity checks."""
+    payload = json.dumps(result.to_dict(), sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def grid_digest(results) -> str:
+    """Digest of a whole grid: sha256 over its per-point
+    :func:`result_digest`\\ s, joined in grid order."""
+    joined = "".join(result_digest(result) for result in results)
+    return hashlib.sha256(joined.encode("ascii")).hexdigest()
+
+
+@dataclass
+class BenchRun:
+    """One timed run of a pinned workload in one mode."""
+
+    wall_s: float
+    events: int  #: retired trace records, or grid points on the sweep pin
+    digest: str  #: result digest (the grid digest on the sweep pin)
+    perf: Optional[dict]  #: SimulationResult.perf of this run, if any
+
+    @property
+    def events_per_s(self) -> float:
+        return self.events / self.wall_s if self.wall_s > 0 else 0.0
+
+    def to_dict(self) -> dict:
+        return {
+            "wall_s": round(self.wall_s, 6),
+            "events": self.events,
+            "events_per_s": round(self.events_per_s, 3),
+            "digest": self.digest,
+            "perf": self.perf,
+        }
+
+
+@dataclass(frozen=True)
+class Pin:
+    """One pinned A/B yardstick.
+
+    Attributes:
+        name: the pin's committed baseline is
+            ``benchmarks/BENCH_<name>.json``.
+        config: the pinned configuration, emitted verbatim at the top
+            level of the report.  Do not change a pin's workload
+            casually: its baseline was measured against exactly it.
+        modes: ``(fast, slow)`` report labels of the two modes.
+        repeats: default best-of-N.
+        run: ``run(fast)`` times the workload once in the fast (True)
+            or slow (False) mode.
+    """
+
+    name: str
+    config: Mapping[str, object]
+    modes: Tuple[str, str]
+    repeats: int
+    run: Callable[[bool], BenchRun]
+
+
+@dataclass
+class PinReport:
+    """Best-of-N measurement of one pin, both modes."""
+
+    pin: Pin
+    fast: BenchRun  #: best (minimum wall clock) fast-mode run
+    slow: BenchRun  #: best slow-mode run
+    repeats: int
+    identical: bool  #: every run of both modes produced one digest
+
+    @property
+    def speedup(self) -> float:
+        """slow/fast wall-clock ratio of the best runs (machine-free)."""
+        return self.slow.wall_s / self.fast.wall_s if self.fast.wall_s else 0.0
+
+    def to_dict(self) -> dict:
+        fast_label, slow_label = self.pin.modes
+        return {
+            **self.pin.config,
+            "repeats": self.repeats,
+            "identical": self.identical,
+            "speedup": round(self.speedup, 3),
+            fast_label: self.fast.to_dict(),
+            slow_label: self.slow.to_dict(),
+        }
+
+
+def measure(pin: Pin, repeats: int) -> PinReport:
+    """Best-of-*repeats* measurement of *pin*, both modes.
+
+    Interleaves fast and slow runs so slow machine-wide drift (thermal
+    throttling, a background build) biases both modes alike instead of
+    whichever mode happened to run last.
+    """
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    fast_runs, slow_runs = [], []
+    for _ in range(repeats):
+        fast_runs.append(pin.run(True))
+        slow_runs.append(pin.run(False))
+    digests = {run.digest for run in fast_runs + slow_runs}
+    return PinReport(
+        pin=pin,
+        fast=min(fast_runs, key=lambda run: run.wall_s),
+        slow=min(slow_runs, key=lambda run: run.wall_s),
+        repeats=repeats,
+        identical=len(digests) == 1,
+    )
+
+
+def _scale_config(scale: ExperimentScale) -> dict:
+    return {
+        "factor": scale.factor,
+        "cores": scale.cores,
+        "records_per_core": scale.records_per_core,
+        "warmup_per_core": scale.warmup_per_core,
+    }
+
+
+# ----------------------------------------------------------------------
+# single_run: the pinned workload, fast path on vs off
+# ----------------------------------------------------------------------
+
+#: The pinned reference point — chosen because it exercises every
+#: fast-path cache (BLEM compression, scrambling, the FR-FCFS candidate
+#: cache) with a trace long enough that interpreter noise averages out
+#: but short enough to run in a CI smoke job.
 PINNED_BENCHMARK = "RAND"
 PINNED_SYSTEM = "attache"
 PINNED_SEED = 2018
@@ -48,44 +171,13 @@ def pinned_scale() -> ExperimentScale:
     )
 
 
-def result_digest(result) -> str:
-    """Canonical digest of a result payload, for bit-identity checks."""
-    payload = json.dumps(result.to_dict(), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-@dataclass
-class BenchRun:
-    """One timed simulation of the pinned workload."""
-
-    wall_s: float
-    events: int  #: retired trace records (instructions)
-    digest: str
-    perf: Optional[dict]  #: SimulationResult.perf of this run
-
-    @property
-    def events_per_s(self) -> float:
-        return self.events / self.wall_s if self.wall_s > 0 else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "wall_s": round(self.wall_s, 6),
-            "events": self.events,
-            "events_per_s": round(self.events_per_s, 3),
-            "digest": self.digest,
-            "perf": self.perf,
-        }
-
-
-def run_once(fastpath_on: bool = True) -> BenchRun:
-    """Run the pinned workload once in the requested mode."""
-    with fastpath.overridden(fastpath_on):
-        start = time.perf_counter()
-        result = run_benchmark(
-            PINNED_BENCHMARK, PINNED_SYSTEM, scale=pinned_scale(),
-            seed=PINNED_SEED,
-        )
-        wall = time.perf_counter() - start
+def _run_detailed(scale: ExperimentScale) -> BenchRun:
+    """Time one detailed simulation of the pinned RAND/attache point."""
+    start = time.perf_counter()
+    result = run_benchmark(
+        PINNED_BENCHMARK, PINNED_SYSTEM, scale=scale, seed=PINNED_SEED,
+    )
+    wall = time.perf_counter() - start
     return BenchRun(
         wall_s=wall,
         events=result.instructions,
@@ -94,71 +186,35 @@ def run_once(fastpath_on: bool = True) -> BenchRun:
     )
 
 
-@dataclass
-class BenchReport:
-    """Best-of-N measurement of the pinned workload, both modes."""
-
-    fast: BenchRun  #: best (minimum wall clock) fastpath-on run
-    slow: BenchRun  #: best fastpath-off run
-    repeats: int
-    identical: bool  #: every run of both modes produced one digest
-
-    @property
-    def speedup(self) -> float:
-        """slow/fast wall-clock ratio of the best runs (machine-free)."""
-        return self.slow.wall_s / self.fast.wall_s if self.fast.wall_s else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "benchmark": PINNED_BENCHMARK,
-            "system": PINNED_SYSTEM,
-            "seed": PINNED_SEED,
-            "scale": {
-                "factor": pinned_scale().factor,
-                "cores": pinned_scale().cores,
-                "records_per_core": pinned_scale().records_per_core,
-                "warmup_per_core": pinned_scale().warmup_per_core,
-            },
-            "repeats": self.repeats,
-            "identical": self.identical,
-            "speedup": round(self.speedup, 3),
-            "fast": self.fast.to_dict(),
-            "slow": self.slow.to_dict(),
-        }
+def _run_single(fast: bool) -> BenchRun:
+    with fastpath.overridden(fast):
+        return _run_detailed(pinned_scale())
 
 
-def run_pinned(repeats: int = 3) -> BenchReport:
-    """Best-of-*repeats* benchmark of the pinned workload, both modes.
-
-    Interleaves fast and slow runs so slow machine-wide drift (thermal
-    throttling, a background build) biases both modes alike instead of
-    whichever mode happened to run last.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    fast_runs, slow_runs = [], []
-    for _ in range(repeats):
-        fast_runs.append(run_once(fastpath_on=True))
-        slow_runs.append(run_once(fastpath_on=False))
-    digests = {run.digest for run in fast_runs + slow_runs}
-    return BenchReport(
-        fast=min(fast_runs, key=lambda run: run.wall_s),
-        slow=min(slow_runs, key=lambda run: run.wall_s),
-        repeats=repeats,
-        identical=len(digests) == 1,
-    )
+SINGLE_RUN = Pin(
+    name="single_run",
+    config={
+        "benchmark": PINNED_BENCHMARK,
+        "system": PINNED_SYSTEM,
+        "seed": PINNED_SEED,
+        "scale": _scale_config(pinned_scale()),
+    },
+    modes=("fast", "slow"),
+    repeats=3,
+    run=_run_single,
+)
 
 
 # ----------------------------------------------------------------------
-# The pinned sweep: end-to-end orchestrator throughput, warm vs spawn
+# sweep: end-to-end orchestrator throughput, warm pool vs spawn-per-job
 # ----------------------------------------------------------------------
 
 #: The pinned sweep grid.  Shaped like a real paper study — a handful of
 #: benchmarks, a seed axis, the four systems plus an Attaché PaPR-size
 #: sensitivity axis — so many grid points share each workload, which is
 #: exactly the situation the warm pool's shared bank and memo caches
-#: target.  Do not change casually: benchmarks/BENCH_sweep.json was
-#: measured against exactly this grid.
+#: target.  Both modes run the same grid through the same orchestrator,
+#: so the ratio isolates exactly what the warm pool buys.
 PINNED_SWEEP_BENCHMARKS = ("mcf", "omnetpp")
 PINNED_SWEEP_SEEDS = (7, 8)
 PINNED_SWEEP_SYSTEMS = ("baseline", "metadata_cache", "ideal")
@@ -206,30 +262,7 @@ def pinned_sweep_specs():
     return specs
 
 
-@dataclass
-class SweepBenchRun:
-    """One timed end-to-end run of the pinned sweep in one pool mode."""
-
-    wall_s: float
-    jobs: int
-    digests: tuple  #: per-point result digests, grid order
-
-    @property
-    def jobs_per_s(self) -> float:
-        return self.jobs / self.wall_s if self.wall_s > 0 else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "wall_s": round(self.wall_s, 6),
-            "jobs": self.jobs,
-            "jobs_per_s": round(self.jobs_per_s, 3),
-            "grid_digest": hashlib.sha256(
-                "".join(self.digests).encode("ascii")
-            ).hexdigest(),
-        }
-
-
-def run_sweep_once(pool: str, jobs: int = 1) -> SweepBenchRun:
+def run_sweep_once(pool: str, jobs: int = 1) -> BenchRun:
     """Run the pinned sweep once through the orchestrator."""
     from repro.orchestrator import Orchestrator
 
@@ -240,81 +273,38 @@ def run_sweep_once(pool: str, jobs: int = 1) -> SweepBenchRun:
     if not report.ok:
         failures = [o.error for o in report.failures]
         raise RuntimeError(f"pinned sweep failed under {pool}: {failures}")
-    return SweepBenchRun(
+    return BenchRun(
         wall_s=wall,
-        jobs=len(specs),
-        digests=tuple(result_digest(r) for r in report.results),
+        events=len(specs),
+        digest=grid_digest(report.results),
+        perf=None,
     )
 
 
-@dataclass
-class SweepBenchReport:
-    """Best-of-N measurement of the pinned sweep, both pool modes."""
-
-    warm: SweepBenchRun  #: best (minimum wall clock) warm-pool run
-    spawn: SweepBenchRun  #: best spawn-per-job run
-    repeats: int
-    identical: bool  #: every run of both modes produced one digest tuple
-
-    @property
-    def speedup(self) -> float:
-        """spawn/warm wall-clock ratio of the best runs (machine-free)."""
-        return (
-            self.spawn.wall_s / self.warm.wall_s if self.warm.wall_s else 0.0
-        )
-
-    def to_dict(self) -> dict:
-        scale = pinned_sweep_scale()
-        return {
-            "benchmarks": list(PINNED_SWEEP_BENCHMARKS),
-            "systems": list(PINNED_SWEEP_SYSTEMS),
-            "seeds": list(PINNED_SWEEP_SEEDS),
-            "papr_entries": list(PINNED_SWEEP_PAPR_ENTRIES),
-            "scale": {
-                "factor": scale.factor,
-                "cores": scale.cores,
-                "records_per_core": scale.records_per_core,
-                "warmup_per_core": scale.warmup_per_core,
-            },
-            "repeats": self.repeats,
-            "identical": self.identical,
-            "speedup": round(self.speedup, 3),
-            "warm": self.warm.to_dict(),
-            "spawn": self.spawn.to_dict(),
-        }
-
-
-def run_pinned_sweep(repeats: int = 2) -> SweepBenchReport:
-    """Best-of-*repeats* pinned sweep benchmark, warm vs spawn.
-
-    Interleaved like :func:`run_pinned`, and both modes run the same
-    grid through the same orchestrator — the only variable is the pool
-    strategy, so the ratio isolates exactly what the warm pool buys.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    warm_runs, spawn_runs = [], []
-    for _ in range(repeats):
-        spawn_runs.append(run_sweep_once(pool="spawn"))
-        warm_runs.append(run_sweep_once(pool="warm"))
-    digest_tuples = {run.digests for run in warm_runs + spawn_runs}
-    return SweepBenchReport(
-        warm=min(warm_runs, key=lambda run: run.wall_s),
-        spawn=min(spawn_runs, key=lambda run: run.wall_s),
-        repeats=repeats,
-        identical=len(digest_tuples) == 1,
-    )
+SWEEP = Pin(
+    name="sweep",
+    config={
+        "benchmarks": list(PINNED_SWEEP_BENCHMARKS),
+        "systems": list(PINNED_SWEEP_SYSTEMS),
+        "seeds": list(PINNED_SWEEP_SEEDS),
+        "papr_entries": list(PINNED_SWEEP_PAPR_ENTRIES),
+        "scale": _scale_config(pinned_sweep_scale()),
+    },
+    modes=("warm", "spawn"),
+    repeats=2,
+    run=lambda fast: run_sweep_once(pool="warm" if fast else "spawn"),
+)
 
 
 # ----------------------------------------------------------------------
-# The pinned functional pass: vector kernels vs the scalar event loop
+# functional: vector kernels vs the scalar event loop
 # ----------------------------------------------------------------------
 
 #: The pinned functional configuration — the Figs. 1/15/16
 #: metadata-traffic shape (shared LLC feeding an lru metadata cache, no
-#: COPR), sized so both passes finish in CI smoke time.  Do not change
-#: casually: benchmarks/BENCH_functional.json was measured against
-#: exactly this point.
+#: COPR), sized so both passes finish in CI smoke time.  The only
+#: variable between the modes is ``repro.kernels`` dispatch, so the
+#: ratio isolates exactly what the batched data plane buys.
 PINNED_FUNCTIONAL_BENCHMARK = "mix1"
 PINNED_FUNCTIONAL_CORES = 4
 PINNED_FUNCTIONAL_RECORDS = 20000
@@ -326,13 +316,12 @@ PINNED_FUNCTIONAL_MDCACHE_BYTES = 32 * 1024
 PINNED_FUNCTIONAL_MDCACHE_WAYS = 16
 
 
-def run_functional_once(vector_on: bool) -> BenchRun:
-    """Run the pinned functional pass once in the requested mode."""
+def _run_functional(fast: bool) -> BenchRun:
     from repro import kernels
     from repro.core.metadata_cache import MetadataCache
     from repro.sim.functional import run_functional
 
-    with kernels.overridden(vector_on):
+    with kernels.overridden(fast):
         metadata_cache = MetadataCache(
             capacity_bytes=PINNED_FUNCTIONAL_MDCACHE_BYTES,
             ways=PINNED_FUNCTIONAL_MDCACHE_WAYS,
@@ -358,79 +347,35 @@ def run_functional_once(vector_on: bool) -> BenchRun:
     )
 
 
-@dataclass
-class FunctionalBenchReport:
-    """Best-of-N measurement of the pinned functional pass, both modes."""
-
-    fast: BenchRun  #: best (minimum wall clock) vector run
-    slow: BenchRun  #: best scalar run
-    repeats: int
-    identical: bool  #: every run of both modes produced one digest
-
-    @property
-    def speedup(self) -> float:
-        """slow/fast wall-clock ratio of the best runs (machine-free)."""
-        return self.slow.wall_s / self.fast.wall_s if self.fast.wall_s else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "benchmark": PINNED_FUNCTIONAL_BENCHMARK,
-            "cores": PINNED_FUNCTIONAL_CORES,
-            "records_per_core": PINNED_FUNCTIONAL_RECORDS,
-            "seed": PINNED_FUNCTIONAL_SEED,
-            "footprint_scale": PINNED_FUNCTIONAL_SCALE,
-            "llc_bytes": PINNED_FUNCTIONAL_LLC_BYTES,
-            "llc_ways": PINNED_FUNCTIONAL_LLC_WAYS,
-            "mdcache_bytes": PINNED_FUNCTIONAL_MDCACHE_BYTES,
-            "mdcache_ways": PINNED_FUNCTIONAL_MDCACHE_WAYS,
-            "repeats": self.repeats,
-            "identical": self.identical,
-            "speedup": round(self.speedup, 3),
-            "fast": self.fast.to_dict(),
-            "slow": self.slow.to_dict(),
-        }
-
-
-def run_pinned_functional(repeats: int = 3) -> FunctionalBenchReport:
-    """Best-of-*repeats* pinned functional benchmark, vector vs scalar.
-
-    Interleaved like :func:`run_pinned`; the only variable between the
-    modes is ``repro.kernels`` dispatch, so the ratio isolates exactly
-    what the batched data plane buys.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    fast_runs, slow_runs = [], []
-    for _ in range(repeats):
-        fast_runs.append(run_functional_once(vector_on=True))
-        slow_runs.append(run_functional_once(vector_on=False))
-    digests = {run.digest for run in fast_runs + slow_runs}
-    return FunctionalBenchReport(
-        fast=min(fast_runs, key=lambda run: run.wall_s),
-        slow=min(slow_runs, key=lambda run: run.wall_s),
-        repeats=repeats,
-        identical=len(digests) == 1,
-    )
+FUNCTIONAL = Pin(
+    name="functional",
+    config={
+        "benchmark": PINNED_FUNCTIONAL_BENCHMARK,
+        "cores": PINNED_FUNCTIONAL_CORES,
+        "records_per_core": PINNED_FUNCTIONAL_RECORDS,
+        "seed": PINNED_FUNCTIONAL_SEED,
+        "footprint_scale": PINNED_FUNCTIONAL_SCALE,
+        "llc_bytes": PINNED_FUNCTIONAL_LLC_BYTES,
+        "llc_ways": PINNED_FUNCTIONAL_LLC_WAYS,
+        "mdcache_bytes": PINNED_FUNCTIONAL_MDCACHE_BYTES,
+        "mdcache_ways": PINNED_FUNCTIONAL_MDCACHE_WAYS,
+    },
+    modes=("fast", "slow"),
+    repeats=3,
+    run=_run_functional,
+)
 
 
 # ----------------------------------------------------------------------
-# The pinned timing pass: vector warm-up/prewarm vs the scalar loops
+# timing: vector warm-up/prewarm vs the scalar loops
 # ----------------------------------------------------------------------
-
-#: The pinned timing configuration — the detailed simulator on the same
-#: RAND/attache point as ``run_pinned``, but with a deep functional
-#: warm-up (the paper warms 40 B instructions before timing 4 B; this
-#: pin leans further, 20:1, so the measured phase is the one the vector
-#: plane batches).  Do not change casually:
-#: benchmarks/BENCH_timing.json was measured against exactly this point.
-PINNED_TIMING_BENCHMARK = PINNED_BENCHMARK
-PINNED_TIMING_SYSTEM = PINNED_SYSTEM
-PINNED_TIMING_SEED = PINNED_SEED
-
 
 def pinned_timing_scale() -> ExperimentScale:
     """The pinned timing workload's scale.
 
+    The detailed simulator on the same RAND/attache point as the
+    single-run pin, but with a deep functional warm-up (the paper warms
+    40 B instructions before timing 4 B; this pin leans further, 20:1).
     Unlike :func:`pinned_scale` (``warmup_per_core=0``), this pin puts
     most of its simulated records in the functional warm-up, the phase
     the vector plane replaces with array kernels (batched LLC probes,
@@ -442,82 +387,35 @@ def pinned_timing_scale() -> ExperimentScale:
     )
 
 
-def run_timing_once(vector_on: bool) -> BenchRun:
-    """Run the pinned timing workload once in the requested mode."""
+def _run_timing(fast: bool) -> BenchRun:
+    # The fast path stays ON in both modes, so the ratio isolates
+    # exactly what the vector timing plane buys on top of it.
     from repro import kernels
 
-    with kernels.overridden(vector_on):
-        start = time.perf_counter()
-        result = run_benchmark(
-            PINNED_TIMING_BENCHMARK, PINNED_TIMING_SYSTEM,
-            scale=pinned_timing_scale(), seed=PINNED_TIMING_SEED,
-        )
-        wall = time.perf_counter() - start
-    return BenchRun(
-        wall_s=wall,
-        events=result.instructions,
-        digest=result_digest(result),
-        perf=result.perf,
-    )
+    with kernels.overridden(fast):
+        return _run_detailed(pinned_timing_scale())
 
 
-@dataclass
-class TimingBenchReport:
-    """Best-of-N measurement of the pinned timing pass, both modes."""
-
-    fast: BenchRun  #: best (minimum wall clock) vector run
-    slow: BenchRun  #: best scalar run
-    repeats: int
-    identical: bool  #: every run of both modes produced one digest
-
-    @property
-    def speedup(self) -> float:
-        """slow/fast wall-clock ratio of the best runs (machine-free)."""
-        return self.slow.wall_s / self.fast.wall_s if self.fast.wall_s else 0.0
-
-    def to_dict(self) -> dict:
-        scale = pinned_timing_scale()
-        return {
-            "benchmark": PINNED_TIMING_BENCHMARK,
-            "system": PINNED_TIMING_SYSTEM,
-            "seed": PINNED_TIMING_SEED,
-            "scale": {
-                "factor": scale.factor,
-                "cores": scale.cores,
-                "records_per_core": scale.records_per_core,
-                "warmup_per_core": scale.warmup_per_core,
-            },
-            "repeats": self.repeats,
-            "identical": self.identical,
-            "speedup": round(self.speedup, 3),
-            "fast": self.fast.to_dict(),
-            "slow": self.slow.to_dict(),
-        }
+TIMING = Pin(
+    name="timing",
+    config={
+        "benchmark": PINNED_BENCHMARK,
+        "system": PINNED_SYSTEM,
+        "seed": PINNED_SEED,
+        "scale": _scale_config(pinned_timing_scale()),
+    },
+    modes=("fast", "slow"),
+    repeats=3,
+    run=_run_timing,
+)
 
 
-def run_pinned_timing(repeats: int = 3) -> TimingBenchReport:
-    """Best-of-*repeats* pinned timing benchmark, vector vs scalar.
-
-    Interleaved like :func:`run_pinned`; the fast path stays ON in both
-    modes, so the ratio isolates exactly what the vector timing plane
-    buys on top of it.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    fast_runs, slow_runs = [], []
-    for _ in range(repeats):
-        fast_runs.append(run_timing_once(vector_on=True))
-        slow_runs.append(run_timing_once(vector_on=False))
-    digests = {run.digest for run in fast_runs + slow_runs}
-    return TimingBenchReport(
-        fast=min(fast_runs, key=lambda run: run.wall_s),
-        slow=min(slow_runs, key=lambda run: run.wall_s),
-        repeats=repeats,
-        identical=len(digests) == 1,
-    )
+#: Every pin, in the order CI measures them.
+PINS: Tuple[Pin, ...] = (SINGLE_RUN, SWEEP, FUNCTIONAL, TIMING)
 
 
 __all__ = [
+    "FUNCTIONAL",
     "PINNED_BENCHMARK",
     "PINNED_FUNCTIONAL_BENCHMARK",
     "PINNED_FUNCTIONAL_SEED",
@@ -527,26 +425,19 @@ __all__ = [
     "PINNED_SWEEP_PAPR_ENTRIES",
     "PINNED_SWEEP_SEEDS",
     "PINNED_SWEEP_SYSTEMS",
-    "PINNED_TIMING_BENCHMARK",
-    "PINNED_TIMING_SEED",
-    "PINNED_TIMING_SYSTEM",
-    "BenchReport",
+    "PINS",
+    "SINGLE_RUN",
+    "SWEEP",
+    "TIMING",
     "BenchRun",
-    "FunctionalBenchReport",
-    "SweepBenchReport",
-    "SweepBenchRun",
-    "TimingBenchReport",
+    "Pin",
+    "PinReport",
+    "grid_digest",
+    "measure",
     "pinned_scale",
     "pinned_sweep_scale",
     "pinned_sweep_specs",
     "pinned_timing_scale",
     "result_digest",
-    "run_functional_once",
-    "run_once",
-    "run_pinned",
-    "run_pinned_functional",
-    "run_pinned_sweep",
-    "run_pinned_timing",
     "run_sweep_once",
-    "run_timing_once",
 ]

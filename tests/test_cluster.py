@@ -7,7 +7,7 @@ sweep run through the local warm pool — including when an agent is
 killed mid-run and its jobs are transparently re-dispatched.
 """
 
-import hashlib
+import contextlib
 import json
 import queue
 import socket
@@ -596,32 +596,58 @@ class TestHostGrammar:
 # End to end: loopback agents vs the local warm pool
 # ----------------------------------------------------------------------
 
-def _grid_digest(digests):
-    return hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
-
-
 @pytest.fixture(scope="module")
 def local_digest():
     """The pinned 36-point grid's digest under the local warm pool."""
     from repro.fastpath.bench import run_sweep_once
 
-    return _grid_digest(run_sweep_once(pool="warm", jobs=2).digests)
+    return run_sweep_once(pool="warm", jobs=2).digest
 
 
-def _run_pinned_grid(backend):
-    from repro.fastpath.bench import pinned_sweep_specs, result_digest
+def _run_sweep_grid(backend):
+    from repro.fastpath.bench import grid_digest, pinned_sweep_specs
 
     report = Orchestrator(
         jobs=max(1, backend.total_slots()), pool=backend, retries=0
     ).run(pinned_sweep_specs())
-    digests = [result_digest(r) for r in report.results]
-    return report, _grid_digest(digests)
+    return report, grid_digest(report.results)
+
+
+@contextlib.contextmanager
+def _kill_mid_run(watched, victims):
+    """Kill the *victims*' agent processes once the sweep is under way.
+
+    The trigger is the coordinator's own state, not a wall-clock delay:
+    the kill fires as soon as *watched* has served a job and holds
+    another in flight, so it always lands with work outstanding however
+    fast the grid runs on this machine.
+    """
+    done = threading.Event()
+
+    def watch():
+        while not done.is_set():
+            if watched.served and watched.inflight:
+                for link in victims:
+                    link.process.kill()
+                return
+            time.sleep(0.001)
+
+    watcher = threading.Thread(target=watch, daemon=True)
+    watcher.start()
+    try:
+        yield
+    finally:
+        done.set()
+        watcher.join()
 
 
 class TestLoopbackCluster:
     def test_two_agents_match_the_local_digest(self, local_digest):
         backend = connect_cluster(["local", "local"], agent_jobs=2)
-        report, digest = _run_pinned_grid(backend)
+        try:
+            report, digest = _run_sweep_grid(backend)
+        finally:
+            backend.shutdown()
         assert report.ok
         assert digest == local_digest
         assert backend.redispatched == 0
@@ -632,12 +658,11 @@ class TestLoopbackCluster:
     def test_killed_agent_does_not_change_the_digest(self, local_digest):
         backend = connect_cluster(["local", "local"], agent_jobs=2)
         victim = backend.agents()[0]
-        timer = threading.Timer(0.4, victim.process.kill)
-        timer.start()
         try:
-            report, digest = _run_pinned_grid(backend)
+            with _kill_mid_run(victim, [victim]):
+                report, digest = _run_sweep_grid(backend)
         finally:
-            timer.cancel()
+            backend.shutdown()
         assert report.ok  # the orchestrator never saw the death
         assert digest == local_digest
         assert not victim.alive
@@ -666,26 +691,22 @@ class TestLoopbackCluster:
     def test_fleet_loss_degrades_to_local_same_digest(
         self, local_digest, tmp_path
     ):
-        from repro.fastpath.bench import pinned_sweep_specs, result_digest
+        from repro.fastpath.bench import grid_digest, pinned_sweep_specs
 
         backend = connect_cluster(
             ["local", "local"], agent_jobs=2, revive=False
         )
-        def _kill_fleet():
-            for link in backend.agents():
-                link.process.kill()
-        timer = threading.Timer(0.4, _kill_fleet)
-        timer.start()
+        fleet = backend.agents()
         telemetry_path = tmp_path / "telemetry.jsonl"
         try:
-            report = Orchestrator(jobs=4, pool=backend, retries=0).run(
-                pinned_sweep_specs(), telemetry_path=telemetry_path
-            )
+            with _kill_mid_run(fleet[0], fleet):
+                report = Orchestrator(jobs=4, pool=backend, retries=0).run(
+                    pinned_sweep_specs(), telemetry_path=telemetry_path
+                )
         finally:
-            timer.cancel()
             backend.shutdown()
         assert report.ok  # the sweep finished on the local fallback
-        digest = _grid_digest([result_digest(r) for r in report.results])
+        digest = grid_digest(report.results)
         assert digest == local_digest
         assert report.summary.get("degraded_to_local") is True
         events = [
