@@ -405,7 +405,8 @@ class Channel:
         class_keys = self._class_keys
         hits = misses = 0
         best: Optional[Candidate] = None
-        best_time = best_class = best_arrival = None
+        best_time = float("inf")
+        best_class = best_arrival = None
         for key, requests in buckets.items():
             if not requests:
                 continue
@@ -437,16 +438,15 @@ class Channel:
             time = candidate[0]
             if time < clock:
                 time = clock
-            if best is not None:
-                if time > best_time:
+            if time > best_time:
+                continue
+            if time == best_time:
+                command_class = candidate[1]
+                if command_class > best_class or (
+                    command_class == best_class
+                    and candidate[2] >= best_arrival
+                ):
                     continue
-                if time == best_time:
-                    command_class = candidate[1]
-                    if command_class > best_class or (
-                        command_class == best_class
-                        and candidate[2] >= best_arrival
-                    ):
-                        continue
             best = candidate
             best_time = time
             best_class = candidate[1]
@@ -462,17 +462,22 @@ class Channel:
         for rank_index, rank in enumerate(self.ranks):
             time = refresh_cache[rank_index]
             if time is None:
+                # ``earliest_refresh`` never returns less than the due
+                # cycle, so a refresh whose due cycle (clamped to now)
+                # is already later than the best candidate cannot win:
+                # skip the bank scan.
+                due = rank.next_refresh_due
+                if (due if due > clock else clock) > best_time:
+                    continue
                 time = rank.earliest_refresh(0.0)
                 refresh_cache[rank_index] = time
             if time < clock:
                 time = clock
-            if best is not None and time > best_time:
+            if time > best_time:
                 continue
             # Refresh (class 0) beats any bank candidate at equal time;
             # an earlier rank's refresh keeps an exact tie.
-            if best is None or time < best_time or (
-                time == best_time and best_class != _CLASS_REFRESH
-            ):
+            if time < best_time or best_class != _CLASS_REFRESH:
                 best = (
                     time, _CLASS_REFRESH, float("-inf"), None, rank_index, -1
                 )

@@ -25,6 +25,7 @@ from typing import Callable, Mapping, Optional, Tuple
 
 from repro import fastpath
 from repro.sim.runner import ExperimentScale, run_benchmark
+from repro.workloads.tracegen import clear_shared_memos
 
 
 def result_digest(result) -> str:
@@ -118,13 +119,18 @@ def measure(pin: Pin, repeats: int) -> PinReport:
 
     Interleaves fast and slow runs so slow machine-wide drift (thermal
     throttling, a background build) biases both modes alike instead of
-    whichever mode happened to run last.
+    whichever mode happened to run last.  Every run starts from empty
+    shared data-model memos, as in a fresh process: otherwise each run
+    after the first would re-use the line contents the previous run
+    generated, and the ratio would no longer measure the pinned point.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     fast_runs, slow_runs = [], []
     for _ in range(repeats):
+        clear_shared_memos()
         fast_runs.append(pin.run(True))
+        clear_shared_memos()
         slow_runs.append(pin.run(False))
     digests = {run.digest for run in fast_runs + slow_runs}
     return PinReport(

@@ -114,9 +114,9 @@ class DataModel:
 
         Every entry these caches hold is a pure function of
         ``(seed, profile, line, version)``, so two models constructed
-        with the same seed and profile may share them freely: a warm
-        worker running several jobs of one workload then generates each
-        line's content once instead of once per job.  The mutable
+        with the same seed and profile may share them freely: a process
+        simulating one workload on several systems then generates each
+        line's content once instead of once per simulation.  The mutable
         per-run state (``_versions``) is never shared.
         """
         self._content_cache = content

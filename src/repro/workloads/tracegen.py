@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cpu.trace import MemOp, TraceRecord
 from repro.util.bitops import CACHELINE_BYTES
 from repro.util.rng import DeterministicRng
-from repro.workloads.datagen import DataModel
+from repro.workloads.datagen import DataModel, DataProfile
 from repro.workloads.profiles import (
     MIX_BENCHMARKS,
     BenchmarkProfile,
@@ -294,11 +294,45 @@ def build_data_model(
 
     Model seeds derive from ``seed ^ crc32(profile name)``
     (process-stable, unlike ``hash(str)``), so a model rebuilt from a
-    bank header is indistinguishable from the generator's.
+    bank header is indistinguishable from the generator's.  Every model
+    adopts this process's shared memo for its ``(data profile, model
+    seed)``: content generated for one simulation is free for the next
+    simulation of the same workload, generated or bank-replayed.  The
+    registry then keeps only this workload's memos, so a process never
+    retains more line contents than one workload's simulations fill.
     """
     models: List[Tuple[int, int, DataModel]] = []
+    memos: Dict[Tuple[DataProfile, int], _ModelMemo] = {}
     for profile, (base, size) in zip(profiles, regions):
-        name_digest = _stable_name_hash(profile.name)
-        model = DataModel(profile.data, seed=seed ^ name_digest)
+        model_seed = seed ^ _stable_name_hash(profile.name)
+        model = DataModel(profile.data, seed=model_seed)
+        key = (profile.data, model_seed)
+        memo = memos.setdefault(key, _model_memos.get(key) or _ModelMemo())
+        model.adopt_shared_caches(memo.content, memo.flips, memo.classes)
         models.append((base, size, model))
+    _model_memos.clear()
+    _model_memos.update(memos)
     return CompositeDataModel(models)
+
+
+# ----------------------------------------------------------------------
+# Shared pure-memo registry (per process)
+# ----------------------------------------------------------------------
+
+@dataclass
+class _ModelMemo:
+    """Shared pure caches for one ``(data profile, model seed)``."""
+
+    content: Dict[Tuple[int, int], bytes] = field(default_factory=dict)
+    flips: Dict[int, Tuple[int, int]] = field(default_factory=dict)
+    classes: Dict[Tuple[int, int], bool] = field(default_factory=dict)
+
+
+#: The memos of the most recently built workload.  Models already built
+#: keep their own references, so dropping an entry never changes a run.
+_model_memos: Dict[Tuple[DataProfile, int], _ModelMemo] = {}
+
+
+def clear_shared_memos() -> None:
+    """Drop every shared data-model memo: the next model starts cold."""
+    _model_memos.clear()

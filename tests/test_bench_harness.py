@@ -55,6 +55,24 @@ def test_one_differing_digest_breaks_identity():
     assert not measure(pin, 2).identical
 
 
+def test_every_run_starts_with_cold_data_model_memos():
+    from repro.workloads import tracegen
+
+    seen = []
+
+    def run(fast):
+        seen.append(len(tracegen._model_memos))
+        tracegen.build_workload("STREAM", cores=1, records_per_core=10,
+                                seed=3)
+        return BenchRun(wall_s=1.0, events=1, digest="d", perf=None)
+
+    pin = Pin(name="toy", config={}, modes=("quick", "plain"), repeats=2,
+              run=run)
+    measure(pin, 2)
+    tracegen.clear_shared_memos()
+    assert seen == [0, 0, 0, 0]
+
+
 def test_zero_repeats_raises():
     pin, calls = _toy_pin([1.0])
     with pytest.raises(ValueError, match="repeats"):

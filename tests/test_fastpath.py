@@ -34,6 +34,7 @@ from repro.fastpath.classifiers import (
 )
 from repro.sim.runner import SYSTEMS, ExperimentScale, run_benchmark
 from repro.workloads.profiles import PROFILES
+from repro.workloads.tracegen import clear_shared_memos
 
 # ----------------------------------------------------------------------
 # Line-content strategies.  Uniform random bytes almost never compress,
@@ -288,6 +289,9 @@ _GOLDEN_SCALE = ExperimentScale(
 def _run_both_modes(workload: str, system: str) -> tuple:
     payloads = []
     for mode in (True, False):
+        # Each mode generates its own line contents: a memo the other
+        # mode filled would hide a content or version bug in either.
+        clear_shared_memos()
         with fastpath.overridden(mode):
             result = run_benchmark(
                 workload, system, scale=_GOLDEN_SCALE, seed=2018

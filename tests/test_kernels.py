@@ -42,7 +42,7 @@ from repro.sim.runner import SYSTEMS, ExperimentScale, run_benchmark
 from repro.util.rng import DeterministicRng
 from repro.workloads.datagen import DataModel
 from repro.workloads.profiles import PROFILES, all_benchmark_names
-from repro.workloads.tracegen import generate_workload
+from repro.workloads.tracegen import clear_shared_memos, generate_workload
 
 # ----------------------------------------------------------------------
 # VecRng vs DeterministicRng
@@ -305,6 +305,9 @@ def _functional_payload(benchmark, config, vector_on):
         kwargs["metadata_cache"] = cache
     if "copr_config" in config:
         kwargs["copr_config"] = config["copr_config"]
+    # Each mode generates its own line contents: a memo the other mode
+    # filled would hide a content or version bug in either.
+    clear_shared_memos()
     with kernels.overridden(vector_on):
         run = run_functional(
             benchmark, cores=2, records_per_core=1500, seed=2018,
@@ -343,6 +346,7 @@ _GOLDEN_SCALE = ExperimentScale(
 def test_cycle_level_golden_equality(system):
     payloads = []
     for mode in (True, False):
+        clear_shared_memos()  # no mode reads the other's line contents
         with kernels.overridden(mode):
             result = run_benchmark(
                 "STREAM", system, scale=_GOLDEN_SCALE, seed=2018

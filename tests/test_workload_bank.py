@@ -175,3 +175,71 @@ class TestInstall:
         # The second instance's model starts with the first one's memo:
         # same object identity proves the cache was shared, not re-derived.
         assert second.data_model.line_data(line, 0) is data
+
+
+# ----------------------------------------------------------------------
+# Process-wide data-model memos (no bank installed)
+# ----------------------------------------------------------------------
+
+def _first_model(instance):
+    return instance.data_model.regions[0][2]
+
+
+class TestSharedModelMemos:
+    def test_generated_instances_share_memos(self):
+        first = build_workload("STREAM", **WORKLOAD)
+        line = first.region_bases[0] // 64
+        data = first.data_model.line_data(line, 0)
+        second = build_workload("STREAM", **WORKLOAD)
+        assert second.data_model.line_data(line, 0) is data
+        assert (_first_model(second)._content_cache
+                is _first_model(first)._content_cache)
+
+    def test_versions_are_per_instance(self):
+        first = build_workload("STREAM", **WORKLOAD)
+        second = build_workload("STREAM", **WORKLOAD)
+        line = first.region_bases[0] // 64
+        first.data_model.note_store(line)
+        assert first.data_model.version_of(line) == 1
+        assert second.data_model.version_of(line) == 0
+
+    def test_different_seed_gets_different_memo(self):
+        first = build_workload("STREAM", **WORKLOAD)
+        other = build_workload(
+            "STREAM", **dict(WORKLOAD, seed=WORKLOAD["seed"] + 1)
+        )
+        assert (_first_model(other)._content_cache
+                is not _first_model(first)._content_cache)
+
+    def test_registry_keeps_only_the_last_workloads_memos(self):
+        from repro.workloads import tracegen
+
+        first = build_workload("STREAM", **WORKLOAD)
+        mix = build_workload("mix1", **WORKLOAD)
+        kept = {id(model._content_cache)
+                for __, ___, model in mix.data_model.regions}
+        assert {id(memo.content)
+                for memo in tracegen._model_memos.values()} == kept
+        again = build_workload("STREAM", **WORKLOAD)
+        assert (_first_model(again)._content_cache
+                is not _first_model(first)._content_cache)
+
+    def test_reused_memos_leave_the_result_digest_unchanged(self):
+        from repro.fastpath.bench import result_digest
+        from repro.sim.runner import ExperimentScale, run_benchmark
+        from repro.workloads import tracegen
+
+        scale = ExperimentScale(
+            name="memo", factor=64, cores=2, records_per_core=60,
+            warmup_per_core=60,
+        )
+        run_benchmark("mix1", "baseline", scale=scale, seed=11)
+        assert tracegen._model_memos  # the second run starts warm
+        warm = result_digest(
+            run_benchmark("mix1", "attache", scale=scale, seed=11)
+        )
+        tracegen.clear_shared_memos()
+        cold = result_digest(
+            run_benchmark("mix1", "attache", scale=scale, seed=11)
+        )
+        assert warm == cold
