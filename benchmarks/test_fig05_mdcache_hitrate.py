@@ -24,19 +24,24 @@ def test_fig05_hit_rate_vs_capacity(benchmark, report_dir):
     scale = bench_scale()
 
     def collect():
-        by_size = {}
-        for multiplier in SIZE_POINTS:
-            capacity = max(4096, int(scale.metadata_cache_bytes * multiplier))
-            rates = []
-            for name in WORKLOADS:
+        # Workload-major: consecutive passes share one workload's trace
+        # and LLC event stream.  Each size's rates still sum in
+        # workload order.
+        rates = {multiplier: [] for multiplier in SIZE_POINTS}
+        for name in WORKLOADS:
+            for multiplier in SIZE_POINTS:
                 cache = MetadataCache(
-                    capacity_bytes=capacity,
+                    capacity_bytes=max(
+                        4096, int(scale.metadata_cache_bytes * multiplier)
+                    ),
                     metadata_base=DEFAULT_METADATA_BASE,
                 )
                 run = run_functional(name, metadata_cache=cache, **kwargs)
-                rates.append(run.metadata_hit_rate)
-            by_size[multiplier] = 100.0 * sum(rates) / len(rates)
-        return by_size
+                rates[multiplier].append(run.metadata_hit_rate)
+        return {
+            multiplier: 100.0 * sum(values) / len(values)
+            for multiplier, values in rates.items()
+        }
 
     by_size = benchmark.pedantic(collect, rounds=1, iterations=1)
 

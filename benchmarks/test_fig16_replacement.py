@@ -22,19 +22,23 @@ def test_fig16_replacement_policies(benchmark, report_dir):
     scale = bench_scale()
 
     def collect():
-        means = {}
-        for policy in POLICIES:
-            rates = []
-            for name in WORKLOADS:
+        # Workload-major: consecutive passes share one workload's trace
+        # and LLC event stream.  Each policy's rates still sum in
+        # workload order.
+        rates = {policy: [] for policy in POLICIES}
+        for name in WORKLOADS:
+            for policy in POLICIES:
                 cache = MetadataCache(
                     capacity_bytes=scale.metadata_cache_bytes,
                     policy=policy,
                     metadata_base=DEFAULT_METADATA_BASE,
                 )
                 run = run_functional(name, metadata_cache=cache, **kwargs)
-                rates.append(run.metadata_hit_rate)
-            means[policy] = 100.0 * sum(rates) / len(rates)
-        return means
+                rates[policy].append(run.metadata_hit_rate)
+        return {
+            policy: 100.0 * sum(values) / len(values)
+            for policy, values in rates.items()
+        }
 
     means = benchmark.pedantic(collect, rounds=1, iterations=1)
 

@@ -118,50 +118,41 @@ class LastLevelCache:
         cache_set[line] = is_write
         return False, eviction
 
-    def access_many(self, addresses, is_write):
-        """Batched :meth:`access` over a whole address stream.
+    def fill(self, outcome) -> None:
+        """Load an access stream's result into this (empty) cache.
 
-        Vector-timing-plane entry point: runs the chunked-rounds LRU
-        kernel (:func:`repro.kernels.lru.lru_simulate`) over the stream,
-        materialises the final set contents back into the per-set
-        ``OrderedDict`` state (LRU way inserted first, so insertion
-        order equals recency order), and accumulates :class:`CacheStats`
-        exactly as the scalar loop would.  Only valid from an *empty*
-        cache — the kernel assumes cold sets.  Returns the kernel's
-        ``LruOutcome`` so callers can reconstruct the miss/eviction
-        event stream without replaying it.
+        Vector-timing-plane entry point: *outcome* is the
+        :func:`repro.kernels.lru.lru_simulate` result of the stream on
+        this cache's geometry.  Materialises its final set contents into
+        the per-set ``OrderedDict`` state (LRU way inserted first, so
+        insertion order equals recency order) and accumulates
+        :class:`CacheStats` exactly as the scalar :meth:`access` loop
+        would.  Only valid for an *empty* cache — the kernel assumes
+        cold sets.
         """
         if any(self._lines):
-            raise ValueError("access_many requires an empty cache")
+            raise ValueError("fill requires an empty cache")
         import numpy as np
 
-        from repro.kernels.lru import lru_simulate
-
-        lines = np.asarray(addresses, dtype=np.uint64) // np.uint64(
-            CACHELINE_BYTES
-        )
-        outcome = lru_simulate(
-            lines.astype(np.int64),
-            np.asarray(is_write, dtype=bool),
-            self._sets,
-            self._ways,
-        )
         set_tags = outcome.set_tags
         set_dirty = outcome.set_dirty
+        if set_tags.shape != (self._sets, self._ways):
+            raise ValueError("outcome geometry differs from the cache's")
         occupied = np.nonzero((set_tags >= 0).any(axis=1))[0]
-        for set_index in occupied.tolist():
+        # Columns reversed: the LRU way is inserted first.
+        for set_index, row_tags, row_dirty in zip(
+            occupied.tolist(),
+            set_tags[occupied, ::-1].tolist(),
+            set_dirty[occupied, ::-1].tolist(),
+        ):
             cache_set = self._lines[set_index]
-            row_tags = set_tags[set_index]
-            row_dirty = set_dirty[set_index]
-            for way in range(self._ways - 1, -1, -1):
-                tag = int(row_tags[way])
+            for tag, dirty in zip(row_tags, row_dirty):
                 if tag >= 0:
-                    cache_set[tag] = bool(row_dirty[way])
+                    cache_set[tag] = dirty
         self.stats.hits += outcome.hits
         self.stats.misses += outcome.misses
         self.stats.evictions += outcome.evictions
         self.stats.writebacks += outcome.dirty_evictions
-        return outcome
 
     def contains(self, address: int) -> bool:
         """True when the line holding *address* is resident."""

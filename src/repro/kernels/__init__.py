@@ -19,8 +19,9 @@ replaces whole per-record loops with columnar numpy kernels:
   set-associative LRU kernel (:mod:`repro.kernels.lru`);
 * the vector *timing* plane for the detailed simulator: batched
   functional warm-up and memo prewarm (:mod:`repro.kernels.timing`),
-  batch COPR training (:mod:`repro.kernels.copr`), and batched LLC
-  probes (:meth:`repro.cpu.cache.LastLevelCache.access_many`).
+  batch COPR training (:mod:`repro.kernels.copr`), and LLC state
+  loaded from a shared event stream
+  (:meth:`repro.cpu.cache.LastLevelCache.fill`).
 
 Every kernel is required to be **bit-identical** to the scalar path it
 replaces: ``tests/test_kernels.py`` runs hypothesis differentials per

@@ -10,12 +10,13 @@ compressibility classes, scrambler keystreams) that batch kernels can
 produce up front.  This module vectorises both, bit-identically:
 
 * :func:`warm_up_vector` replays the warm-up window from the workload's
-  trace columns — one :meth:`LastLevelCache.access_many` pass, analytic
-  store-version reconstruction (the :mod:`repro.kernels.functional`
-  searchsorted machinery), bulk materialisation of the controller's
-  stored-state dicts, one more LRU pass for the metadata cache, and the
-  batched COPR trainer (:func:`repro.kernels.copr.copr_train_batch`) —
-  then rebuilds ``workload.traces`` to start at the timed window.  Any
+  shared :class:`~repro.kernels.functional.EventStream` — the LLC end
+  state (:meth:`LastLevelCache.fill`), store counts for the version
+  counters, and the controller's stored-state dicts, all built once per
+  workload and geometry — then runs the per-system parts: one more LRU
+  pass for the metadata cache and the batched COPR trainer
+  (:func:`repro.kernels.copr.copr_train_batch`), and rebuilds
+  ``workload.traces`` to start at the timed window.  Any
   configuration it cannot mirror exactly returns ``False`` with no
   state touched; the caller keeps the scalar loop.
 * :func:`prewarm_timed_phase` batch-fills the pure memo caches the
@@ -35,38 +36,13 @@ import numpy as np
 from ..util.bitops import CACHELINE_BYTES
 from .copr import copr_train_batch
 from .datagen import line_classes, lines_data
-from .functional import (
-    _classes_routed,
-    _materialize_metadata_lru,
-    _metadata_cache_empty,
-    _route_models,
-)
-from .lru import lru_simulate
+from .functional import _route_models, event_stream, replay_metadata_cache
 
 __all__ = ["warm_up_vector", "prewarm_timed_phase"]
 
 #: Leave headroom under the clear-on-full memo caps so prewarming never
 #: triggers the wipe it is trying to avoid.
 _MEMO_HEADROOM = 64
-
-
-def _interleaved_window(columns, count):
-    """Round-robin interleave the first *count* records of every core.
-
-    Returns ``(addresses, is_store)`` in scalar warm-up order, or
-    ``None`` when any core carries fewer than *count* records.
-    """
-    address_rows = []
-    op_rows = []
-    for addresses, __, ops in columns:
-        row = np.asarray(addresses, dtype=np.uint64)
-        if row.shape[0] < count:
-            return None
-        address_rows.append(row[:count])
-        op_rows.append(np.asarray(ops, dtype=np.uint8)[:count])
-    addresses = np.stack(address_rows).T.ravel()
-    is_store = np.stack(op_rows).T.ravel() == 1  # MemOp.STORE.value
-    return addresses, is_store
 
 
 def warm_up_vector(workload, llc, controller, warmup_per_core: int) -> bool:
@@ -109,157 +85,41 @@ def warm_up_vector(workload, llc, controller, warmup_per_core: int) -> bool:
         controller._stored_compressed or controller._version_written
     ):
         return False
-    window = _interleaved_window(columns, warmup_per_core)
-    if window is None:
+    stream = event_stream(workload, llc.sets, llc.ways, warmup_per_core)
+    if stream is None:
         return False
-    addresses, is_store = window
-
-    outcome = llc.access_many(addresses, is_store)
-    lines = (addresses >> np.uint64(6)).astype(np.int64)
-    total = lines.shape[0]
+    llc.fill(stream.outcome)
 
     # note_store replay: the scalar loop bumps the owning region model's
     # version counter once per store; only the final counts matter.
     regions = data_model.regions
-    store_positions = np.nonzero(is_store)[0]
-    store_lines = lines[store_positions]
-    if store_lines.size:
-        unique_store, store_counts = np.unique(
-            store_lines, return_counts=True
+    if stream.store_lines.size:
+        owners = _route_models(
+            data_model, stream.store_lines.astype(np.uint64)
         )
-        owners = _route_models(data_model, unique_store.astype(np.uint64))
         for region_index in range(len(regions)):
             member = np.nonzero(owners == region_index)[0]
             if not member.size:
                 continue
             versions = regions[region_index][2]._versions
             for line, count in zip(
-                unique_store[member].tolist(), store_counts[member].tolist()
+                stream.store_lines[member].tolist(),
+                stream.store_counts[member].tolist(),
             ):
                 versions[line] = versions.get(line, 0) + count
 
     if compressed:
-        # Miss/write-back event reconstruction, exactly as in
-        # kernels.functional.simulate_events.
-        miss = ~outcome.hit
-        miss_pos = outcome.pos[miss]
-        miss_line = outcome.key[miss]
-        wb_line = outcome.evict_key[miss]
-        wb_flag = outcome.evict_dirty[miss]
-        event_counts = 1 + wb_flag.astype(np.int64)
-        ends = np.cumsum(event_counts)
-        starts = ends - event_counts
-        n_events = int(ends[-1]) if ends.shape[0] else 0
-        ev_is_wb = np.zeros(n_events, dtype=bool)
-        ev_is_wb[starts[wb_flag]] = True
-        ev_node = np.repeat(np.arange(miss_pos.shape[0]), event_counts)
-        ev_pos = miss_pos[ev_node]
-        ev_line = np.where(ev_is_wb, wb_line[ev_node], miss_line[ev_node])
-
-        unique_lines = np.unique(lines)
-        stride = np.int64(total + 1)
-        store_keys = np.sort(
-            np.searchsorted(unique_lines, store_lines) * stride
-            + store_positions
-        )
-        wb_index = np.nonzero(ev_is_wb)[0]
-        read_index = np.nonzero(~ev_is_wb)[0]
-        wb_ids = np.searchsorted(unique_lines, ev_line[wb_index])
         # warm_write records the class/version at the victim's current
-        # store count; the pos-p store targets the requesting line,
-        # never the victim, so <= and < coincide.
-        wb_versions = (
-            np.searchsorted(
-                store_keys, wb_ids * stride + ev_pos[wb_index], side="right"
-            )
-            - np.searchsorted(store_keys, wb_ids * stride, side="left")
-        )
-        wb_classes = _classes_routed(
-            data_model, ev_line[wb_index].astype(np.uint64), wb_versions
-        )
-        # warm_read initialises never-stored lines at version 0 and
-        # otherwise returns the stored class — i.e. the last preceding
-        # write-back's class, else the version-0 class.
-        rd_ids = np.searchsorted(unique_lines, ev_line[read_index])
-        wb_sort = np.argsort(wb_ids * stride + ev_pos[wb_index])
-        wb_keys_sorted = (wb_ids * stride + ev_pos[wb_index])[wb_sort]
-        wb_classes_sorted = wb_classes[wb_sort]
-        lo = np.searchsorted(wb_keys_sorted, rd_ids * stride, side="left")
-        hi = np.searchsorted(
-            wb_keys_sorted, rd_ids * stride + ev_pos[read_index], side="left"
-        )
-        has_prior = hi > lo
-        rd_classes = _classes_routed(
-            data_model,
-            ev_line[read_index].astype(np.uint64),
-            np.zeros(read_index.shape[0], dtype=np.int64),
-        )
-        rd_classes[has_prior] = wb_classes_sorted[
-            np.maximum(hi - 1, 0)[has_prior]
-        ]
-
-        # Stored-state materialisation: the last write-back per line
-        # wins; lines only ever warm-read keep their version-0 class.
-        stored_compressed = controller._stored_compressed
-        version_written = controller._version_written
-        wb_lines_arr = ev_line[wb_index]
-        if wb_index.size:
-            order = np.argsort(wb_ids * stride + ev_pos[wb_index])
-            sorted_ids = wb_ids[order]
-            last = np.empty(order.size, dtype=bool)
-            last[-1] = True
-            last[:-1] = sorted_ids[:-1] != sorted_ids[1:]
-            final_rows = order[last]
-            for line, cls, version in zip(
-                wb_lines_arr[final_rows].tolist(),
-                wb_classes[final_rows].tolist(),
-                wb_versions[final_rows].tolist(),
-            ):
-                stored_compressed[line] = cls
-                version_written[line] = version
-        read_only = np.setdiff1d(
-            np.unique(ev_line[read_index]), np.unique(wb_lines_arr)
-        )
-        if read_only.size:
-            read_only_classes = _classes_routed(
-                data_model,
-                read_only.astype(np.uint64),
-                np.zeros(read_only.size, dtype=np.int64),
-            )
-            for line, cls in zip(
-                read_only.tolist(), read_only_classes.tolist()
-            ):
-                stored_compressed[line] = cls
-                version_written[line] = 0
-
+        # store count and warm_read initialises never-stored lines at
+        # version 0: the stream's stored state, copied into empty dicts.
+        classes, versions = stream.stored_state(data_model)
+        controller._stored_compressed.update(classes)
+        controller._version_written.update(versions)
         if kind is MetadataCacheController:
-            metadata_cache = controller.metadata_cache
-            if metadata_cache.policy == "lru" and _metadata_cache_empty(
-                metadata_cache
-            ):
-                blocks = ev_line // metadata_cache.coverage_lines
-                md = lru_simulate(
-                    blocks,
-                    ev_is_wb,
-                    metadata_cache._sets,
-                    metadata_cache._ways,
-                )
-                stats = metadata_cache.stats
-                stats.accesses += md.accesses
-                stats.hits += md.hits
-                stats.installs += md.misses
-                stats.dirty_evictions += md.dirty_evictions
-                _materialize_metadata_lru(metadata_cache, md)
-            else:
-                access = metadata_cache.access
-                for line, dirty in zip(ev_line.tolist(), ev_is_wb.tolist()):
-                    access(line, make_dirty=dirty)
-
+            replay_metadata_cache(controller.metadata_cache, stream)
         if kind is AttacheController:
-            ev_comp = np.zeros(n_events, dtype=bool)
-            ev_comp[wb_index] = wb_classes
-            ev_comp[read_index] = rd_classes
-            ev_addresses = ev_line * CACHELINE_BYTES
+            ev_comp = stream.classes(data_model)[2]
+            ev_addresses = stream.line * CACHELINE_BYTES
             if not copr_train_batch(controller.copr, ev_addresses, ev_comp):
                 update = controller.copr.update
                 for address, compressible in zip(
@@ -323,42 +183,22 @@ def prewarm_timed_phase(workload, controller, offset: int, count: int) -> None:
         model = regions[region_index][2]
         member_lines = unique_lines[member].astype(np.uint64)
         member_versions = versions[member]
-        content_cache = model._content_cache
         limit = model._content_cache_limit - _MEMO_HEADROOM
-        missing = np.fromiter(
-            (
-                (line, version) not in content_cache
-                for line, version in zip(
-                    member_lines.tolist(), member_versions.tolist()
+        _memoise_missing(
+            model._content_cache, limit, member_lines, member_versions,
+            lambda lines, line_versions: [
+                row.tobytes() for row in lines_data(
+                    model, lines, line_versions.astype(np.uint64)
                 )
-            ),
-            dtype=bool,
-            count=member_lines.shape[0],
+            ],
         )
-        if missing.any() and len(content_cache) + int(missing.sum()) < limit:
-            need = np.nonzero(missing)[0]
-            matrix = lines_data(
-                model, member_lines[need], member_versions[need].astype(np.uint64)
+        if model._class_cache is not None:
+            _memoise_missing(
+                model._class_cache, limit, member_lines, member_versions,
+                lambda lines, line_versions: line_classes(
+                    model, lines, line_versions
+                ).tolist(),
             )
-            for i, (line, version) in enumerate(
-                zip(
-                    member_lines[need].tolist(),
-                    member_versions[need].tolist(),
-                )
-            ):
-                content_cache[(line, version)] = matrix[i].tobytes()
-        class_cache = model._class_cache
-        if (
-            class_cache is not None
-            and len(class_cache) + member_lines.shape[0] < limit
-        ):
-            classes = line_classes(model, member_lines, member_versions)
-            for line, version, cls in zip(
-                member_lines.tolist(),
-                member_versions.tolist(),
-                classes.tolist(),
-            ):
-                class_cache[(line, version)] = cls
 
     blem = getattr(controller, "blem", None)
     if blem is None:
@@ -386,3 +226,14 @@ def prewarm_timed_phase(workload, controller, offset: int, count: int) -> None:
         for address, row in zip(missing_addresses, matrix):
             raw = row.tobytes()
             keystreams[address] = (raw, int.from_bytes(raw, "little"))
+
+
+def _memoise_missing(cache, limit, lines, versions, compute) -> None:
+    """Store ``compute(lines, versions)`` in *cache* for the
+    ``(line, version)`` pairs it lacks, unless that would reach *limit*.
+    """
+    pairs = list(zip(lines.tolist(), versions.tolist()))
+    need = [index for index, pair in enumerate(pairs) if pair not in cache]
+    if need and len(cache) + len(need) < limit:
+        for index, value in zip(need, compute(lines[need], versions[need])):
+            cache[pairs[index]] = value

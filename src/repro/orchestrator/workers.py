@@ -22,6 +22,7 @@ same and results are bit-identical across modes.
 
 from __future__ import annotations
 
+import os
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -36,6 +37,10 @@ POOL_MODES = ("warm", "spawn")
 
 #: Default jobs one warm worker serves before being recycled.
 DEFAULT_RECYCLE_AFTER = 32
+
+#: Seconds an idle warm worker waits on its pipe between checks that
+#: its parent is still alive.
+_PARENT_CHECK_S = 0.5
 
 
 class WorkerStartupError(RuntimeError):
@@ -92,7 +97,12 @@ def _warm_worker_main(conn, runner, bank_root, timing: bool = False) -> None:
     reporting, and the parent replaces it.  The one-off workload-bank
     attach is timed when *timing* is on and reported with the worker's
     first job (the only job that ever waited on it).
+
+    The pipe is polled rather than read blocking: forked siblings
+    inherit the parent's end of it, so a killed parent never delivers
+    EOF.  The worker exits once its parent pid changes instead.
     """
+    parent_pid = os.getppid()
     attach_span = None
     if bank_root is not None:
         from repro.workloads import bank
@@ -115,6 +125,10 @@ def _warm_worker_main(conn, runner, bank_root, timing: bool = False) -> None:
     try:
         while True:
             try:
+                if not conn.poll(_PARENT_CHECK_S):
+                    if os.getppid() != parent_pid:
+                        break
+                    continue
                 message = conn.recv()
             except (EOFError, OSError):
                 break

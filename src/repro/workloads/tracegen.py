@@ -125,11 +125,10 @@ class WorkloadInstance:
         traces: per-core trace iterators.
         data_model: content source covering every core's region.
         region_bases: per-core region base addresses.
-        columns: optional per-core ``(addresses, gaps, ops)`` trace
-            columns (numpy arrays or buffer views) backing ``traces`` —
-            present when the instance was built through the vector
-            kernels or replayed from a bank blob, and consumed by the
-            batched functional pipeline.
+        shared: the process-wide :class:`SharedTrace` holding the
+            trace columns behind ``traces`` and the workload's LLC event
+            streams — present when the instance was built through the
+            vector kernels or replayed from a bank blob.
     """
 
     name: str
@@ -138,11 +137,18 @@ class WorkloadInstance:
     data_model: CompositeDataModel
     region_bases: List[int]
     region_sizes: List[int] = None  # type: ignore[assignment]
-    columns: Optional[List[tuple]] = None
+    shared: Optional["SharedTrace"] = None
 
     @property
     def cores(self) -> int:
         return len(self.traces)
+
+    @property
+    def columns(self) -> Optional[List[tuple]]:
+        """Per-core ``(addresses, gaps, ops)`` trace columns (read-only
+        numpy arrays or buffer views) for the batched pipelines, or
+        ``None`` for a scalar-generated instance."""
+        return self.shared.columns if self.shared is not None else None
 
     @property
     def address_span(self) -> int:
@@ -183,6 +189,8 @@ def build_workload(
     generator below would produce, materialized once per distinct
     ``(name, cores, records, seed, footprint_scale)`` and shared across
     every job of the sweep.  Without a bank this generates in-process.
+    Either way, building the last-built workload again reuses its
+    trace columns and LLC event streams (:func:`shared_trace`).
     """
     from repro.workloads import bank
 
@@ -223,15 +231,18 @@ def generate_workload(
     regions = layout_regions(profiles, footprint_scale)
 
     traces: List[Iterator[TraceRecord]] = []
-    columns = None
+    shared = None
     from repro import kernels
 
     if kernels.enabled():
         from repro.kernels.tracegen import workload_columns
         from repro.workloads.bank import replay_records
 
-        columns = workload_columns(profiles, regions, records_per_core, seed)
-        for addresses, gaps, ops in columns:
+        shared = shared_trace(
+            (name, cores, records_per_core, seed, footprint_scale),
+            lambda: workload_columns(profiles, regions, records_per_core, seed),
+        )
+        for addresses, gaps, ops in shared.columns:
             # memoryviews iterate as plain Python ints, so the replayed
             # records are indistinguishable from the generator's.
             traces.append(replay_records(
@@ -253,7 +264,7 @@ def generate_workload(
         data_model=build_data_model(profiles, regions, seed),
         region_bases=[base for base, __ in regions],
         region_sizes=[size for __, size in regions],
-        columns=columns,
+        shared=shared,
     )
 
 
@@ -316,7 +327,7 @@ def build_data_model(
 
 
 # ----------------------------------------------------------------------
-# Shared pure-memo registry (per process)
+# Shared last-built-workload registry (per process)
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -328,11 +339,55 @@ class _ModelMemo:
     classes: Dict[Tuple[int, int], bool] = field(default_factory=dict)
 
 
+@dataclass(eq=False)
+class SharedTrace:
+    """One workload's system-independent state, shared read-only by
+    every simulation of it in this process.
+
+    Attributes:
+        key: ``(name, cores, records_per_core, seed, footprint_scale)``.
+        columns: per-core ``(addresses, gaps, ops)`` columns; numpy
+            columns are marked read-only.
+        streams: LLC event streams by ``(sets, ways, window)``, filled
+            on first use by :func:`repro.kernels.functional.event_stream`.
+    """
+
+    key: tuple
+    columns: List[tuple]
+    streams: dict = field(default_factory=dict)
+
+
 #: The memos of the most recently built workload.  Models already built
 #: keep their own references, so dropping an entry never changes a run.
 _model_memos: Dict[Tuple[DataProfile, int], _ModelMemo] = {}
 
+#: The trace columns and event streams of the most recently built
+#: workload.  Instances keep their own reference, likewise.
+_last_trace: Optional[SharedTrace] = None
+
+
+def shared_trace(key: tuple, make_columns) -> SharedTrace:
+    """The registry's entry for workload *key*.
+
+    Reuses the last-built workload's entry when its key matches;
+    otherwise builds the columns with ``make_columns()`` and replaces
+    the entry, so a process holds one workload's trace at a time.
+    """
+    global _last_trace
+    entry = _last_trace
+    if entry is None or entry.key != key:
+        columns = list(make_columns())
+        for core in columns:
+            for column in core:
+                flags = getattr(column, "flags", None)
+                if flags is not None:
+                    flags.writeable = False
+        entry = _last_trace = SharedTrace(key, columns)
+    return entry
+
 
 def clear_shared_memos() -> None:
-    """Drop every shared data-model memo: the next model starts cold."""
+    """Drop the whole registry: the next workload starts cold."""
+    global _last_trace
     _model_memos.clear()
+    _last_trace = None

@@ -59,9 +59,11 @@ def test_every_run_starts_with_cold_data_model_memos():
     from repro.workloads import tracegen
 
     seen = []
+    traces = []
 
     def run(fast):
         seen.append(len(tracegen._model_memos))
+        traces.append(tracegen._last_trace)
         tracegen.build_workload("STREAM", cores=1, records_per_core=10,
                                 seed=3)
         return BenchRun(wall_s=1.0, events=1, digest="d", perf=None)
@@ -71,6 +73,8 @@ def test_every_run_starts_with_cold_data_model_memos():
     measure(pin, 2)
     tracegen.clear_shared_memos()
     assert seen == [0, 0, 0, 0]
+    # Trace columns and event streams start cold too.
+    assert traces == [None, None, None, None]
 
 
 def test_zero_repeats_raises():

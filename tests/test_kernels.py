@@ -452,7 +452,7 @@ def test_copr_train_batch_matches_scalar(data):
 
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_llc_access_many_matches_scalar(data):
+def test_llc_fill_matches_scalar(data):
     from repro.cpu.cache import LastLevelCache
 
     count = data.draw(st.integers(1, 250))
@@ -465,7 +465,8 @@ def test_llc_access_many_matches_scalar(data):
     is_write = np.array(writes, dtype=bool)
     batch = LastLevelCache(capacity_bytes=4 * 1024, ways=4)
     scalar = LastLevelCache(capacity_bytes=4 * 1024, ways=4)
-    batch.access_many(addresses, is_write)
+    outcome = lru_simulate(addresses // 64, is_write, batch.sets, batch.ways)
+    batch.fill(outcome)
     for address, write in zip(addresses.tolist(), writes):
         scalar.access(address, is_write=write)
     assert [list(s.items()) for s in batch._lines] == [
@@ -473,7 +474,7 @@ def test_llc_access_many_matches_scalar(data):
     ]
     assert batch.stats.snapshot() == scalar.stats.snapshot()
     with pytest.raises(ValueError):
-        batch.access_many(addresses, is_write)  # only from empty
+        batch.fill(outcome)  # only from empty
 
 
 def test_env_gate_detailed_digest_equality():

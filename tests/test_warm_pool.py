@@ -10,6 +10,9 @@ survive the move to persistent workers.
 import hashlib
 import json
 import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -70,6 +73,14 @@ def boom_on_ideal(spec: JobSpec) -> SimulationResult:
 def sleepy_on_ideal(spec: JobSpec) -> SimulationResult:
     if spec.system == "ideal":
         time.sleep(60.0)
+    return pid_run(spec)
+
+
+def pid_file_run(spec: JobSpec) -> SimulationResult:
+    """Drop a file named after this worker's pid, then work briefly."""
+    directory = os.environ["WARM_POOL_PID_DIR"]
+    open(os.path.join(directory, str(os.getpid())), "w").close()
+    time.sleep(0.05)
     return pid_run(spec)
 
 
@@ -252,3 +263,53 @@ class TestFaultPaths:
         assert summary["backend"] == "warm"
         assert summary["jobs_requested"] == "auto"
         assert summary["workers"] == orchestrator.jobs
+
+
+def _process_gone(pid: int) -> bool:
+    """True once *pid* has exited (a zombie nobody reaps counts)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] == "Z"
+    except OSError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_workers_exit_when_the_parent_is_killed(tmp_path):
+    """A SIGKILLed orchestrator leaves no warm worker behind: siblings
+    hold the parent's pipe ends open, so the workers watch their parent
+    pid instead of waiting for EOF."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = (
+        "from repro.orchestrator import Orchestrator\n"
+        "from tests.test_warm_pool import _spec, pid_file_run\n"
+        "Orchestrator(jobs=2, pool='warm', runner=pid_file_run,\n"
+        "             recycle_after=5000).run(\n"
+        "    [_spec(seed=s) for s in range(1, 2001)])\n"
+    )
+    env = dict(os.environ, WARM_POOL_PID_DIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), root]))
+    parent = subprocess.Popen([sys.executable, "-c", script], env=env,
+                              cwd=root)
+    pids = []
+    try:
+        deadline = time.monotonic() + 60.0
+        while len(pids) < 2 and time.monotonic() < deadline:
+            assert parent.poll() is None, "the pool's parent exited early"
+            time.sleep(0.05)
+            pids = [int(name) for name in os.listdir(tmp_path)]
+        assert len(pids) == 2, "the pool never started two workers"
+        parent.send_signal(signal.SIGKILL)
+        parent.wait()
+        deadline = time.monotonic() + 5.0
+        while (not all(_process_gone(pid) for pid in pids)
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert all(_process_gone(pid) for pid in pids), pids
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait()
+        for pid in pids:
+            if not _process_gone(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -243,3 +243,138 @@ class TestSharedModelMemos:
             run_benchmark("mix1", "attache", scale=scale, seed=11)
         )
         assert warm == cold
+
+
+# ----------------------------------------------------------------------
+# Process-wide trace columns and LLC event streams
+# ----------------------------------------------------------------------
+
+def _count_calls(monkeypatch, module, name, record=lambda *a, **k: True):
+    """Wrap ``module.name``; returns the list of recorded calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        if record(*args, **kwargs):
+            calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestSharedTrace:
+    FUNCTIONAL = dict(cores=2, records_per_core=1500, seed=2018,
+                      footprint_scale=1 / 64, llc_bytes=64 * 1024)
+
+    def _functional(self, mode):
+        from repro.core.copr import CoprConfig
+        from repro.core.metadata_cache import MetadataCache
+        from repro.sim.functional import run_functional
+
+        if mode == "lru":
+            cache = MetadataCache(capacity_bytes=8 * 1024, ways=8,
+                                  policy="lru")
+            run = run_functional("mix1", metadata_cache=cache,
+                                 **self.FUNCTIONAL)
+            state = [[(block, e.dirty, e.rrpv, e.reused)
+                      for block, e in bucket.items()]
+                     for bucket in cache._data]
+            return run.to_dict(), state
+        run = run_functional("mix1", copr_config=CoprConfig(),
+                             **self.FUNCTIONAL)
+        return run.to_dict(), None
+
+    def test_functional_passes_share_one_llc_simulation(self, monkeypatch):
+        from repro import kernels
+        from repro.kernels import functional
+        from repro.workloads.tracegen import clear_shared_memos
+
+        llc_sets = self.FUNCTIONAL["llc_bytes"] // (64 * 8)
+        llc_runs = _count_calls(
+            monkeypatch, functional, "lru_simulate",
+            lambda keys, writes, sets, ways: (sets, ways) == (llc_sets, 8),
+        )
+        with kernels.overridden(True):
+            warm = [self._functional("lru"), self._functional("copr")]
+            assert len(llc_runs) == 1
+            cold = []
+            for mode in ("lru", "copr"):
+                clear_shared_memos()
+                cold.append(self._functional(mode))
+        assert len(llc_runs) == 3
+        assert warm == cold
+
+    def test_detailed_systems_generate_columns_once(self, monkeypatch):
+        from repro import kernels
+        from repro.fastpath.bench import result_digest
+        from repro.kernels import tracegen as vector_tracegen
+        from repro.sim.runner import SYSTEMS, ExperimentScale, run_benchmark
+        from repro.workloads.tracegen import clear_shared_memos
+
+        scale = ExperimentScale(name="shared", factor=64, cores=2,
+                                records_per_core=60, warmup_per_core=60)
+        generated = _count_calls(
+            monkeypatch, vector_tracegen, "workload_columns"
+        )
+        with kernels.overridden(True):
+            warm = [result_digest(run_benchmark("mix1", system, scale=scale,
+                                                seed=11))
+                    for system in SYSTEMS]
+            assert len(generated) == 1
+            cold = []
+            for system in SYSTEMS:
+                clear_shared_memos()
+                cold.append(result_digest(
+                    run_benchmark("mix1", system, scale=scale, seed=11)))
+        assert warm == cold
+
+    def test_shared_arrays_are_read_only(self):
+        from repro import kernels
+        from repro.kernels.functional import event_stream
+
+        with kernels.overridden(True):
+            instance = build_workload("STREAM", **WORKLOAD)
+        stream = event_stream(instance, 16, 4)
+        for array in (instance.columns[0][0], stream.line,
+                      stream.outcome.set_tags,
+                      stream.classes(instance.data_model)[2]):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert event_stream(instance, 16, 4) is stream
+        # Another warm-up window or LLC geometry is another stream.
+        window = event_stream(instance, 16, 4, 60)
+        assert window is not stream
+        assert window.outcome.accesses == 2 * 60
+        assert event_stream(instance, 32, 4) is not stream
+
+    def test_building_another_workload_rebuilds_the_first(
+        self, monkeypatch
+    ):
+        from repro import kernels
+        from repro.kernels import tracegen as vector_tracegen
+
+        generated = _count_calls(
+            monkeypatch, vector_tracegen, "workload_columns"
+        )
+        with kernels.overridden(True):
+            first = build_workload("STREAM", **WORKLOAD)
+            again = build_workload("STREAM", **WORKLOAD)
+            assert len(generated) == 1 and again.shared is first.shared
+            build_workload("mix1", **WORKLOAD)
+            third = build_workload("STREAM", **WORKLOAD)
+        assert len(generated) == 3
+        # An instance keeps its own entry: a later build never swaps the
+        # columns or streams a running simulation reads.
+        assert third.shared is not first.shared
+        assert first.columns is not third.columns
+        assert _drain(first) == _drain(third)
+
+    def test_bank_replays_share_one_entry(self, tmp_path):
+        from repro.kernels.functional import event_stream
+
+        bank.install(tmp_path)
+        first = build_workload("STREAM", **WORKLOAD)
+        second = build_workload("STREAM", **WORKLOAD)
+        assert second.shared is first.shared
+        assert event_stream(second, 16, 4) is event_stream(first, 16, 4)
