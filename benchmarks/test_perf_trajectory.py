@@ -15,7 +15,11 @@ Measures each pin of ``repro.fastpath.bench.PINS`` with
 
 For every pin: the two modes must produce bit-identical results, the
 fast mode must beat the slow one outright, and the speedup ratio must
-not regress more than 25% below the committed baseline ratio.  The
+not regress more than 25% below the committed baseline ratio.  Where
+the baseline records the fast run's ``perf`` counters, the fast run
+must also do no more work than committed (``WORK_COUNTERS``): these
+counts are deterministic, so a fast-path memo that stops working fails
+them on every run, however noisy the host.  The
 gates compare *ratios*, not wall clocks: absolute times depend on the
 machine, but dividing one mode's time by the other's on the same
 machine cancels that out.  After a deliberate perf change, re-measure
@@ -36,6 +40,24 @@ from repro.fastpath.bench import PINS, measure
 from conftest import publish
 
 BASELINE_DIR = pathlib.Path(__file__).parent
+
+#: Paths into ``SimulationResult.perf`` of the work counters gated as
+#: "no more than the committed baseline".
+WORK_COUNTERS = (
+    ("scheduler", "computes"),
+    ("scheduler", "advances"),
+    ("scheduler", "bucket", "misses"),
+    ("full_encodes",),
+    ("classify", "misses"),
+    ("keystream", "misses"),
+    ("verified_reads", "misses"),
+)
+
+
+def _counter(perf: dict, path) -> int:
+    for key in path:
+        perf = perf[key]
+    return perf
 
 
 @pytest.mark.parametrize("pin", PINS, ids=lambda pin: pin.name)
@@ -71,6 +93,21 @@ def test_perf_trajectory(pin, report_dir):
         f"mode: {fast} digest {report.fast.digest[:16]}, "
         f"{slow} digest {report.slow.digest[:16]}"
     )
+    committed = baseline[fast]["perf"]
+    if committed is not None:
+        work = {
+            ".".join(path): (_counter(report.fast.perf, path),
+                             _counter(committed, path))
+            for path in WORK_COUNTERS
+        }
+        more_work = {
+            name: counts for name, counts in work.items()
+            if counts[0] > counts[1]
+        }
+        assert not more_work, (
+            f"{pin.name}: the {fast} mode did more work than its baseline "
+            f"(measured, committed): {more_work}"
+        )
     assert report.speedup > 1.0, (
         f"{pin.name}: the {fast} mode is slower than the {slow} mode: "
         f"{report.speedup:.2f}x"

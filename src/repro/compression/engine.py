@@ -43,12 +43,6 @@ def enable_shared_caches() -> None:
         _shared_registry = {}
 
 
-def disable_shared_caches() -> None:
-    """Return to per-engine memo caches (and drop shared contents)."""
-    global _shared_registry
-    _shared_registry = None
-
-
 @dataclass
 class CompressionStats:
     """Aggregate counters maintained by a :class:`CompressionEngine`."""

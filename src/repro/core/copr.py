@@ -27,7 +27,8 @@ Three cooperating components:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import fastpath
 from repro.workloads.datagen import LINES_PER_PAGE
@@ -259,6 +260,7 @@ class CoprPredictor:
             else None
         )
         self.stats = CoprStats()
+        self._last_source = "default"
         # The fast update is specialised for the full GI+PaPR+LiPR
         # configuration; ablated configs keep the component-wise path.
         self._fast = (
@@ -276,7 +278,7 @@ class CoprPredictor:
     def last_source(self) -> str:
         """Which component produced the most recent prediction
         ("lipr" / "papr" / "gi" / "default")."""
-        return getattr(self, "_last_source", "default")
+        return self._last_source
 
     @staticmethod
     def _page_of(address: int) -> Tuple[int, int]:
@@ -321,10 +323,7 @@ class CoprPredictor:
             return
         page, line_in_page = self._page_of(address)
         if predicted is not None:
-            self.stats.note(
-                getattr(self, "_last_source", "default"),
-                predicted == compressible,
-            )
+            self.stats.note(self._last_source, predicted == compressible)
 
         gi_seed: Optional[bool] = None
         if self._gi is not None:
@@ -372,7 +371,7 @@ class CoprPredictor:
             stats.predictions += 1
             if predicted == compressible:
                 stats.correct += 1
-            source = getattr(self, "_last_source", "default")
+            source = self._last_source
             by_source = stats.by_source
             by_source[source] = by_source.get(source, 0) + 1
 
@@ -421,3 +420,102 @@ class CoprPredictor:
         else:
             vector &= ~(1 << line_in_page)
         cache_set[page] = vector
+
+    def replay(
+        self,
+        addresses: Sequence[int],
+        compressible: Sequence[bool],
+        is_read: Optional[Sequence[bool]] = None,
+    ) -> None:
+        """Train on a whole event stream in one pass.
+
+        Without *is_read*, every event is ``update(address, outcome)``.
+        With it, each read is first predicted from the pre-update state
+        and scored: ``update(address, outcome, predicted=predict(address))``.
+        End state, statistics and :attr:`last_source` match those
+        per-event calls exactly.  The fused loop drops ``predict``'s
+        LRU refresh: the update that follows moves the same page to the
+        MRU slot of the same set, with no access in between.
+        """
+        reads = repeat(False) if is_read is None else is_read
+        if not self._fast:
+            predict, update = self.predict, self.update
+            for address, outcome, read in zip(addresses, compressible, reads):
+                if read:
+                    update(address, outcome, predicted=predict(address))
+                else:
+                    update(address, outcome)
+            return
+        gi = self._gi
+        counters = gi._counters
+        region_bytes = gi._region_bytes
+        last_region = gi._regions - 1
+        gi_threshold = gi._threshold
+        speculation = self._config.papr_speculation_threshold
+        papr = self._papr._table
+        papr_data, papr_sets, papr_ways = papr._data, papr._sets, papr._ways
+        lipr = self._lipr._table
+        lipr_data, lipr_sets, lipr_ways = lipr._data, lipr._sets, lipr._ways
+        by_source = self.stats.by_source
+        source = self._last_source
+        predictions = correct = 0
+        for address, outcome, read in zip(addresses, compressible, reads):
+            line = address // 64
+            page = line // LINES_PER_PAGE
+            region = address // region_bytes
+            if region > last_region:
+                region = last_region
+            gi_value = counters[region]
+            papr_set = papr_data[page % papr_sets]
+            counter = papr_set.pop(page, None)
+            lipr_set = lipr_data[page % lipr_sets]
+            vector = lipr_set.pop(page, None)
+            if read:
+                if vector is not None:
+                    source = "lipr"
+                    predicted = (vector >> (line % LINES_PER_PAGE)) & 1 == 1
+                elif counter is not None:
+                    source = "papr"
+                    predicted = counter >= speculation
+                else:
+                    source = "gi"
+                    predicted = gi_value > gi_threshold
+                predictions += 1
+                if predicted == outcome:
+                    correct += 1
+                by_source[source] = by_source.get(source, 0) + 1
+
+            # GI, then PaPR, then LiPR: the transitions of _update_fast.
+            if outcome:
+                counters[region] = gi_value + 1 if gi_value < 3 else 3
+            else:
+                counters[region] = 0
+            if counter is None:
+                page_uniform = False
+                counter = 3 if gi_value > gi_threshold else 0
+                if len(papr_set) >= papr_ways:
+                    papr_set.pop(next(iter(papr_set)))  # evict LRU
+            else:
+                page_uniform = counter == 3 if outcome else counter == 0
+            if outcome:
+                if counter < 3:
+                    counter += 1
+            elif counter > 0:
+                counter -= 1
+            papr_set[page] = counter
+
+            if vector is None:
+                vector = _FULL_VECTOR if counter >= 2 else 0
+                if len(lipr_set) >= lipr_ways:
+                    lipr_set.pop(next(iter(lipr_set)))  # evict LRU
+            if page_uniform:
+                vector = _FULL_VECTOR if outcome else 0
+            elif outcome:
+                vector |= 1 << (line % LINES_PER_PAGE)
+            else:
+                vector &= ~(1 << (line % LINES_PER_PAGE))
+            lipr_set[page] = vector
+        stats = self.stats
+        stats.predictions += predictions
+        stats.correct += correct
+        self._last_source = source

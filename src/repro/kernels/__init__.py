@@ -19,8 +19,7 @@ replaces whole per-record loops with columnar numpy kernels:
   set-associative LRU kernel (:mod:`repro.kernels.lru`);
 * the vector *timing* plane for the detailed simulator: batched
   functional warm-up and memo prewarm (:mod:`repro.kernels.timing`),
-  batch COPR training (:mod:`repro.kernels.copr`), and LLC state
-  loaded from a shared event stream
+  and LLC state loaded from a shared event stream
   (:meth:`repro.cpu.cache.LastLevelCache.fill`).
 
 Every kernel is required to be **bit-identical** to the scalar path it

@@ -20,8 +20,8 @@ event loop of :func:`repro.sim.functional.run_functional`:
    ``lru_simulate`` pass for the ``lru`` policy (with the final dict
    state materialised back, so a caller-held cache is left exactly as
    the scalar loop leaves it), or a scalar loop for ``drrip``/``ship``;
-   COPR always updates through the scalar predictor, fed from the event
-   arrays.
+   COPR predicts and trains in one fused
+   :meth:`~repro.core.copr.CoprPredictor.replay` over the event arrays.
 
 Steps 1-4 depend only on the workload and the LLC geometry, so they
 build one read-only :class:`EventStream` that every functional pass
@@ -405,18 +405,11 @@ def simulate_events(
         replay_metadata_cache(metadata_cache, stream)
 
     if copr is not None:
-        ev_addr = (stream.line * CACHELINE_BYTES).tolist()
-        predict = copr.predict
-        update = copr.update
-        for address, is_wb, compressible in zip(
-            ev_addr, stream.is_wb.tolist(), event_classes.tolist()
-        ):
-            if is_wb:
-                update(address, compressible)
-            else:
-                update(
-                    address, compressible, predicted=predict(address)
-                )
+        copr.replay(
+            (stream.line * CACHELINE_BYTES).tolist(),
+            event_classes.tolist(),
+            is_read=(~stream.is_wb).tolist(),
+        )
 
     return FunctionalCounters(
         demand_reads=int(stream.read_index.shape[0]),

@@ -14,8 +14,8 @@ produce up front.  This module vectorises both, bit-identically:
   state (:meth:`LastLevelCache.fill`), store counts for the version
   counters, and the controller's stored-state dicts, all built once per
   workload and geometry — then runs the per-system parts: one more LRU
-  pass for the metadata cache and the batched COPR trainer
-  (:func:`repro.kernels.copr.copr_train_batch`), and rebuilds
+  pass for the metadata cache and one fused COPR training pass
+  (:meth:`repro.core.copr.CoprPredictor.replay`), and rebuilds
   ``workload.traces`` to start at the timed window.  Any
   configuration it cannot mirror exactly returns ``False`` with no
   state touched; the caller keeps the scalar loop.
@@ -34,7 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..util.bitops import CACHELINE_BYTES
-from .copr import copr_train_batch
 from .datagen import line_classes, lines_data
 from .functional import _route_models, event_stream, replay_metadata_cache
 
@@ -118,14 +117,10 @@ def warm_up_vector(workload, llc, controller, warmup_per_core: int) -> bool:
         if kind is MetadataCacheController:
             replay_metadata_cache(controller.metadata_cache, stream)
         if kind is AttacheController:
-            ev_comp = stream.classes(data_model)[2]
-            ev_addresses = stream.line * CACHELINE_BYTES
-            if not copr_train_batch(controller.copr, ev_addresses, ev_comp):
-                update = controller.copr.update
-                for address, compressible in zip(
-                    ev_addresses.tolist(), ev_comp.tolist()
-                ):
-                    update(address, compressible)
+            controller.copr.replay(
+                (stream.line * CACHELINE_BYTES).tolist(),
+                stream.classes(data_model)[2].tolist(),
+            )
 
     # The timed window resumes where the warm-up stopped.
     workload.traces = [

@@ -44,12 +44,6 @@ def enable_shared_caches() -> None:
         _shared_registry = {}
 
 
-def disable_shared_caches() -> None:
-    """Return to per-scrambler keystream memos."""
-    global _shared_registry
-    _shared_registry = None
-
-
 class DataScrambler:
     """XOR-keystream scrambler keyed by (boot seed, physical address).
 

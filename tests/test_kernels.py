@@ -18,6 +18,7 @@ Mirrors the two-layer discipline of ``tests/test_fastpath.py``:
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from collections import OrderedDict
@@ -406,48 +407,100 @@ def test_vector_gate_controls():
 
 
 # ----------------------------------------------------------------------
-# The vector timing plane: COPR batch training, LLC probe batches, and
+# The vector timing plane: fused COPR replay, LLC probe batches, and
 # the detailed-path env gate
 # ----------------------------------------------------------------------
 
 
 def _copr_state(copr):
-    """Full predictor end state: GI counters plus both tables with
-    their LRU orders (insertion order = recency in the scalar dicts)."""
+    """Full predictor state: GI counters, both tables with their LRU
+    orders (insertion order = recency in the scalar dicts), the
+    accuracy statistics and the last prediction's source."""
+
+    def table(component):
+        if component is None:
+            return None
+        return [list(bucket.items()) for bucket in component._table._data]
+
+    gi = copr._gi
     return (
-        list(copr._gi._counters),
-        [list(bucket.items()) for bucket in copr._papr._table._data],
-        [list(bucket.items()) for bucket in copr._lipr._table._data],
+        None if gi is None else list(gi._counters),
+        table(copr._papr),
+        table(copr._lipr),
+        copr.stats.predictions,
+        copr.stats.correct,
+        list(copr.stats.by_source.items()),
+        copr.last_source,
     )
 
 
-@given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_copr_train_batch_matches_scalar(data):
-    from repro.core.copr import CoprPredictor
-    from repro.kernels.copr import copr_train_batch
+#: The full predictor and every ablation Fig. 17 can build.
+_COPR_COMPONENTS = [
+    (gi, papr, lipr)
+    for gi in (True, False)
+    for papr in (True, False)
+    for lipr in (True, False)
+    if gi or papr or lipr
+]
 
-    count = data.draw(st.integers(1, 300))
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fastpath", "reference"])
+@pytest.mark.parametrize(
+    "components", _COPR_COMPONENTS,
+    ids=lambda flags: "+".join(
+        name for name, on in zip(("gi", "papr", "lipr"), flags) if on
+    ),
+)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_copr_replay_matches_per_event(fast, components, data):
+    from repro import fastpath
+    from repro.core.copr import CoprPredictor
+
+    gi, papr, lipr = components
     # Tables small enough that evictions and set conflicts happen.
-    config = CoprConfig(papr_entries=64, papr_ways=4,
-                        lipr_entries=32, lipr_ways=4)
-    memory_bytes = 1 << 22
-    lines = data.draw(st.lists(
-        st.integers(0, memory_bytes // 64 - 1),
-        min_size=count, max_size=count,
+    config = CoprConfig(
+        use_global_indicator=gi, use_page_predictor=papr,
+        use_line_predictor=lipr, papr_entries=64, papr_ways=4,
+        lipr_entries=32, lipr_ways=4,
+    )
+    memory_bytes = 1 << 19
+    count = data.draw(st.integers(1, 300))
+    # Page pools that fit both tables, overflow only LiPR (so PaPR
+    # predicts), and overflow both while reaching past the last GI
+    # region.
+    pages = data.draw(st.sampled_from([8, 64, 256]))
+    # Skewed outcome mixes saturate the counters; the stream itself is
+    # seeded noise, which reaches far more table states than shrunk
+    # hypothesis lists do.
+    share = data.draw(st.sampled_from([0.1, 0.5, 0.9]))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    addresses = [rng.randrange(pages * 64) * 64 for _ in range(count)]
+    compressible = [rng.random() < share for _ in range(count)]
+    is_read = data.draw(st.one_of(
+        st.none(), st.just([rng.random() < 0.6 for _ in range(count)]),
     ))
-    compressible = data.draw(st.lists(
-        st.booleans(), min_size=count, max_size=count,
-    ))
-    addresses = np.array(lines, dtype=np.int64) * 64
-    batch = CoprPredictor(memory_bytes, config)
-    scalar = CoprPredictor(memory_bytes, config)
-    assert copr_train_batch(batch, addresses,
-                            np.array(compressible, dtype=bool))
-    for address, comp in zip(addresses.tolist(), compressible):
-        scalar.update(address, comp)
-    assert _copr_state(batch) == _copr_state(scalar)
-    assert batch.stats.predictions == scalar.stats.predictions == 0
+    split = data.draw(st.integers(0, count))
+
+    with fastpath.overridden(fast):
+        fused = CoprPredictor(memory_bytes, config)
+    for lo, hi in ((0, split), (split, count)):
+        fused.replay(
+            addresses[lo:hi], compressible[lo:hi],
+            None if is_read is None else is_read[lo:hi],
+        )
+
+    with fastpath.overridden(False):
+        reference = CoprPredictor(memory_bytes, config)
+    reads = is_read if is_read is not None else [False] * count
+    for address, outcome, read in zip(addresses, compressible, reads):
+        if read:
+            reference.update(
+                address, outcome, predicted=reference.predict(address)
+            )
+        else:
+            reference.update(address, outcome)
+    assert _copr_state(fused) == _copr_state(reference)
 
 
 @given(data=st.data())
